@@ -9,7 +9,10 @@
 //!   fingerprint-identical (the bench never times a wrong answer); what
 //!   differs — and what this ablation measures — is the *modeled* device
 //!   time. Each auto row records whether the selector picked the
-//!   backend the modeled times say is faster.
+//!   backend the modeled times say is faster. Every workload, 2-D or
+//!   N-D, goes through the same `HybridDbscan::build_table`, so every
+//!   modeled time is a 3-stream makespan and the rows compare like for
+//!   like across dimensions.
 //! * [`print`] — `repro backend`: the CI smoke step. Runs the ablation,
 //!   prints the per-workload grid/tree/auto comparison, and exits
 //!   nonzero on any fingerprint mismatch, or — under `BENCH_STRICT=1` —
@@ -20,9 +23,7 @@ use crate::common::{DatasetCache, Options, TextTable};
 use crate::stats;
 use gpu_sim::time::SimDuration;
 use gpu_sim::Device;
-use hybrid_dbscan_core::batch::BatchConfig;
-use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
-use hybrid_dbscan_core::nd::{build_table_nd, cluster_table_nd};
+use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
 use hybrid_dbscan_core::{clustering_fingerprint, table_fingerprint, IndexBackend};
 use obs::bench::WorkloadResult;
 use std::time::Instant;
@@ -120,19 +121,22 @@ struct BackendRun {
     clusters: usize,
 }
 
-fn run_2d(
+/// Build and cluster one workload under one backend. `build` calls
+/// `HybridDbscan::build_table` on the workload's points — 2-D or N-D,
+/// the pipeline is the same.
+fn run_backend(
     device: &Device,
-    points: &[spatial::Point2],
     w: &AblationWorkload,
     backend: IndexBackend,
+    points: usize,
+    build: impl Fn(&HybridDbscan) -> Result<TableHandle, HybridError>,
 ) -> BackendRun {
     let cfg = HybridConfig {
         backend,
         ..HybridConfig::default()
     };
     let t0 = Instant::now();
-    let handle = HybridDbscan::new(device, cfg)
-        .build_table(points, w.eps)
+    let handle = build(&HybridDbscan::new(device, cfg))
         .unwrap_or_else(|e| panic!("{} ({}): {e:?}", w.id, backend.name()));
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (clustering, _) = HybridDbscan::cluster_with_table(&handle, w.minpts);
@@ -149,36 +153,7 @@ fn run_2d(
         e_b: handle.gpu.e_b,
         n_batches: handle.gpu.n_batches,
         result_pairs: handle.gpu.result_pairs,
-        points: points.len(),
-        clusters: clustering.num_clusters() as usize,
-    }
-}
-
-fn run_nd<const D: usize>(
-    device: &Device,
-    data: &[spatial::PointN<D>],
-    w: &AblationWorkload,
-    backend: IndexBackend,
-) -> BackendRun {
-    let t0 = Instant::now();
-    let handle = build_table_nd(device, data, w.eps, backend, &BatchConfig::default(), 256)
-        .unwrap_or_else(|e| panic!("{} ({}): {e:?}", w.id, backend.name()));
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-    let clustering = cluster_table_nd(&handle, w.minpts);
-    BackendRun {
-        backend,
-        chosen: handle.backend.chosen.name(),
-        reason: handle.backend.reason,
-        cell_cv: handle.backend.cell_cv,
-        mean_occupancy: handle.backend.mean_occupancy,
-        modeled: handle.modeled_time,
-        build_ms,
-        table_fp: table_fingerprint(&handle.table),
-        clustering_fp: clustering_fingerprint(&clustering),
-        e_b: handle.e_b,
-        n_batches: handle.n_batches,
-        result_pairs: handle.result_pairs,
-        points: data.len(),
+        points,
         clusters: clustering.num_clusters() as usize,
     }
 }
@@ -192,13 +167,17 @@ fn run_workload(
     w: &AblationWorkload,
 ) -> Vec<BackendRun> {
     let backends = [IndexBackend::Grid, IndexBackend::Tree, IndexBackend::Auto];
-    let runs: Vec<BackendRun> = match w.data {
-        AblationData::Named(name) => {
-            let points = cache.get(name).points.clone();
+    let run_all =
+        |points: usize, build: &dyn Fn(&HybridDbscan) -> Result<TableHandle, HybridError>| {
             backends
                 .iter()
-                .map(|&b| run_2d(device, &points, w, b))
-                .collect()
+                .map(|&b| run_backend(device, w, b, points, build))
+                .collect::<Vec<_>>()
+        };
+    let runs = match w.data {
+        AblationData::Named(name) => {
+            let points = cache.get(name).points.clone();
+            run_all(points.len(), &|h| h.build_table(&points, w.eps))
         }
         AblationData::Lattice {
             d,
@@ -211,17 +190,11 @@ fn run_workload(
             match d {
                 3 => {
                     let data = datasets::lattice_nd::<3>(n, 1.0, jitter, seed);
-                    backends
-                        .iter()
-                        .map(|&b| run_nd(device, &data, w, b))
-                        .collect()
+                    run_all(data.len(), &|h| h.build_table(&data, w.eps))
                 }
                 4 => {
                     let data = datasets::lattice_nd::<4>(n, 1.0, jitter, seed);
-                    backends
-                        .iter()
-                        .map(|&b| run_nd(device, &data, w, b))
-                        .collect()
+                    run_all(data.len(), &|h| h.build_table(&data, w.eps))
                 }
                 _ => panic!("unsupported lattice dimension {d}"),
             }

@@ -17,8 +17,8 @@
 //! occupancy decide. The decision and its inputs are surfaced as a
 //! [`BackendDecision`] and recorded in run provenance.
 
+use crate::eps_index::EpsPoint;
 use serde::{Deserialize, Serialize};
-use spatial::Point2;
 use std::collections::BTreeMap;
 
 /// Which ε-search index the hybrid pipeline builds and traverses.
@@ -110,52 +110,18 @@ fn nd_occupancy_threshold(d: usize) -> f64 {
 
 /// Deterministic sampled ε-cell statistics: `(cv, mean_occupancy)` over
 /// non-empty cells of the strided sample, occupancy scaled by the stride
-/// so it estimates full-database points per cell.
-fn sampled_cell_stats(data: &[Point2], eps: f64) -> (f64, f64) {
+/// so it estimates full-database points per cell. Bin keys compare the
+/// last dimension first — in 2-D the row-major `(y, x)` order.
+fn sampled_cell_stats<const D: usize, P: EpsPoint<D>>(data: &[P], eps: f64) -> (f64, f64) {
     let stride = (data.len() / MAX_STAT_SAMPLE).max(1);
     // BTreeMap, not HashMap: iteration order must be deterministic or
     // the float accumulations below would vary run to run.
-    let mut bins: BTreeMap<(i64, i64), u64> = BTreeMap::new();
-    let mut sampled = 0u64;
-    let mut i = 0;
-    while i < data.len() {
-        let p = &data[i];
-        let key = (
-            (p.y / eps).floor() as i64, //
-            (p.x / eps).floor() as i64,
-        );
-        *bins.entry(key).or_insert(0) += 1;
-        sampled += 1;
-        i += stride;
-    }
-    if bins.is_empty() || sampled == 0 {
-        return (0.0, 0.0);
-    }
-    let k = bins.len() as f64;
-    let mean = sampled as f64 / k;
-    let var = bins
-        .values()
-        .map(|&c| {
-            let d = c as f64 - mean;
-            d * d
-        })
-        .sum::<f64>()
-        / k;
-    let cv = if mean > 0.0 { var.sqrt() / mean } else { 0.0 };
-    (cv, mean * stride as f64)
-}
-
-/// Deterministic sampled cell statistics for `D`-dimensional data — the
-/// ND generalization of [`sampled_cell_stats`], keyed by the full
-/// `D`-tuple of ε-cell coordinates.
-fn sampled_cell_stats_nd<const D: usize>(data: &[spatial::PointN<D>], eps: f64) -> (f64, f64) {
-    let stride = (data.len() / MAX_STAT_SAMPLE).max(1);
     let mut bins: BTreeMap<[i64; D], u64> = BTreeMap::new();
     let mut sampled = 0u64;
     let mut i = 0;
     while i < data.len() {
-        let p = &data[i];
-        let key = std::array::from_fn(|k| (p.coords[k] / eps).floor() as i64);
+        let c = data[i].coords();
+        let key = std::array::from_fn(|k| (c[D - 1 - k] / eps).floor() as i64);
         *bins.entry(key).or_insert(0) += 1;
         sampled += 1;
         i += stride;
@@ -179,63 +145,18 @@ fn sampled_cell_stats_nd<const D: usize>(data: &[spatial::PointN<D>], eps: f64) 
 
 /// Resolve the configured backend for a `D`-dimensional workload.
 ///
-/// The `Auto` policy folds dimensionality in: in d ≥ 3 the grid's 3^d
-/// stencil (27, 81 sparse binary-search probes per point) loses to the
-/// tree's (2ε)^d candidate volume at much milder density, so the
-/// occupancy bar drops with the dimension; in 2-D the thresholds match
-/// [`select_backend`].
-pub fn select_backend_nd<const D: usize>(
-    requested: IndexBackend,
-    data: &[spatial::PointN<D>],
-    eps: f64,
-) -> BackendDecision {
-    match requested {
-        IndexBackend::Grid => BackendDecision {
-            requested,
-            chosen: ChosenBackend::Grid,
-            cell_cv: 0.0,
-            mean_occupancy: 0.0,
-            reason: "requested",
-        },
-        IndexBackend::Tree => BackendDecision {
-            requested,
-            chosen: ChosenBackend::Tree,
-            cell_cv: 0.0,
-            mean_occupancy: 0.0,
-            reason: "requested",
-        },
-        IndexBackend::Auto => {
-            let (cv, occ) = sampled_cell_stats_nd(data, eps);
-            let chosen = if D >= 3 {
-                if occ >= nd_occupancy_threshold(D) {
-                    ChosenBackend::Tree
-                } else {
-                    ChosenBackend::Grid
-                }
-            } else if cv >= CV_THRESHOLD && occ >= OCCUPANCY_THRESHOLD {
-                ChosenBackend::Tree
-            } else {
-                ChosenBackend::Grid
-            };
-            BackendDecision {
-                requested,
-                chosen,
-                cell_cv: cv,
-                mean_occupancy: occ,
-                reason: "auto",
-            }
-        }
-    }
-}
-
-/// Resolve the configured backend for a 2-D workload.
-///
 /// `shared_kernel` callers always get the grid: GPUCalcShared is driven
 /// by the non-empty-cell schedule, which only the grid defines.
-pub fn select_backend(
+///
+/// The `Auto` policy folds dimensionality in: in d ≥ 3 the grid's 3^d
+/// stencil (27, 81 sparse binary-search probes per point) loses to the
+/// tree's (2ε)^d candidate volume at much milder density, so only the
+/// occupancy bar decides, and it drops with the dimension; in 2-D both
+/// the CV and the occupancy bar must be met.
+pub fn select_backend<const D: usize, P: EpsPoint<D>>(
     requested: IndexBackend,
     shared_kernel: bool,
-    data: &[Point2],
+    data: &[P],
     eps: f64,
 ) -> BackendDecision {
     if shared_kernel {
@@ -264,14 +185,18 @@ pub fn select_backend(
         },
         IndexBackend::Auto => {
             let (cv, occ) = sampled_cell_stats(data, eps);
-            let chosen = if cv >= CV_THRESHOLD && occ >= OCCUPANCY_THRESHOLD {
-                ChosenBackend::Tree
+            let tree = if D >= 3 {
+                occ >= nd_occupancy_threshold(D)
             } else {
-                ChosenBackend::Grid
+                cv >= CV_THRESHOLD && occ >= OCCUPANCY_THRESHOLD
             };
             BackendDecision {
                 requested,
-                chosen,
+                chosen: if tree {
+                    ChosenBackend::Tree
+                } else {
+                    ChosenBackend::Grid
+                },
                 cell_cv: cv,
                 mean_occupancy: occ,
                 reason: "auto",
@@ -283,6 +208,7 @@ pub fn select_backend(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use spatial::Point2;
 
     fn uniform(n: usize, extent: f64) -> Vec<Point2> {
         (0..n)

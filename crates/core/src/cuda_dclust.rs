@@ -27,7 +27,7 @@
 //! Hybrid-DBSCAN is conservative.
 
 use crate::dbscan::{Clustering, PointLabel};
-use crate::hybrid::GridBuffers;
+use crate::eps_index::GridBuffers;
 use crate::kernels::{load_cell_range, scan_cell_range};
 use gpu_sim::device::Device;
 use gpu_sim::error::DeviceError;

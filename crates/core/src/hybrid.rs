@@ -4,13 +4,13 @@
 //! host                         device (simulated)
 //! ────────────────────────────────────────────────────────────────
 //! spatial pre-sort of D
-//! grid construction (G, A)
-//!            ── H2D: D, G, A ──────────────▶
+//! index construction (grid G, A or packed kd-tree)
+//!            ── H2D: D, index ─────────────▶
 //!                                estimation kernel → e_b
 //! batch plan (Eq. 1)
 //! pinned staging buffers
 //! for each batch l (3 streams):
-//!                                GPUCalcGlobal/Shared (strided)
+//!                                GPUCalcGlobal/Shared/Tree (strided)
 //!                                thrust sort_by_key on R_l
 //!            ◀── D2H into pinned staging ──
 //! ingest R_l values into T
@@ -29,13 +29,22 @@
 //! with the rayon pool's thread count (see DESIGN.md, "Threading model &
 //! determinism policy"). Only the host DBSCAN stage and the explicitly
 //! named `wall_time` fields are wall-clock measurements.
+//!
+//! One pipeline serves every dimension: `build_table` and `run` are
+//! generic over the point type — the paper's 2-D `Point2` and
+//! `PointN<D>` for d ∈ {3, 4} — through the crate-private
+//! `EpsPoint` seam (`eps_index`), which supplies only the pre-sort
+//! and the ε-grid (build, upload, count and calc launches). Backend
+//! selection, the tree backend, batching, overflow replanning, the
+//! stream workers, the schedule and the recorder are shared, so 3-D and
+//! 4-D builds report 3-stream makespans and emit the same spans as 2-D.
+//! The shared kernel needs the 2-D grid's cell schedule and rejects d > 2.
 
 use crate::backend::{select_backend, BackendDecision, ChosenBackend, IndexBackend};
 use crate::batch::{BatchConfig, BatchPlan};
 use crate::dbscan::{Clustering, Dbscan, TableSource};
-use crate::kernels::{
-    GpuCalcGlobal, GpuCalcShared, GpuCalcTree, NeighborCountKernel, NeighborPair, TreeCountKernel,
-};
+use crate::eps_index::{EpsPoint, GridBatch};
+use crate::kernels::{GpuCalcTree, NeighborPair, TreeCountKernel};
 use crate::table::{NeighborTable, NeighborTableBuilder};
 use gpu_sim::device::Device;
 use gpu_sim::error::DeviceError;
@@ -49,9 +58,8 @@ use gpu_sim::timeline::{Engine, Timeline};
 use obs::Recorder;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
-use spatial::grid::{CellRange, CellsView};
-use spatial::presort::spatial_sort_permutation;
-use spatial::{GridIndex, PackedKdTree, Point2, PointStore, PointsViewN, TreeView};
+use spatial::grid::CellRange;
+use spatial::{PackedKdTree, TreeView};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -81,8 +89,9 @@ pub struct HybridConfig {
     /// Host threads ingesting batch results into `T` (paper: the 3
     /// batching threads double as constructors).
     pub host_lanes: usize,
-    /// Overflow-recovery retries (each doubles `n_b`). The published α
-    /// makes retries unnecessary; this guards adversarial estimates.
+    /// Overflow-recovery retries (each replans `n_b` from the counted
+    /// `|R|`). The published α makes retries unnecessary; this guards
+    /// adversarial estimates.
     pub max_retries: usize,
 }
 
@@ -273,57 +282,6 @@ enum BatchPass {
     },
 }
 
-/// Device-resident `G`, in either layout. Dense is the single flat range
-/// array (one H2D transfer, exactly as before the sparse layout existed);
-/// sparse uploads the non-empty keys and their ranges as two buffers —
-/// O(|D|) device memory instead of O(nx·ny).
-pub(crate) enum GridBuffers {
-    Dense {
-        ranges: DeviceBuffer<CellRange>,
-    },
-    Sparse {
-        keys: DeviceBuffer<u32>,
-        ranges: DeviceBuffer<CellRange>,
-    },
-}
-
-impl GridBuffers {
-    /// Upload `G` to the device, returning the summed H2D transfer time.
-    pub(crate) fn upload(
-        device: &Device,
-        grid: &GridIndex,
-    ) -> Result<(Self, SimDuration), DeviceError> {
-        match grid.cells_view() {
-            CellsView::Dense(ranges) => {
-                let (buf, t) = DeviceBuffer::from_host(device, ranges, false)?;
-                Ok((GridBuffers::Dense { ranges: buf }, t))
-            }
-            CellsView::Sparse { keys, ranges } => {
-                let (k_buf, t_k) = DeviceBuffer::from_host(device, keys, false)?;
-                let (r_buf, t_r) = DeviceBuffer::from_host(device, ranges, false)?;
-                Ok((
-                    GridBuffers::Sparse {
-                        keys: k_buf,
-                        ranges: r_buf,
-                    },
-                    t_k + t_r,
-                ))
-            }
-        }
-    }
-
-    /// The device-resident `G` as the layout-agnostic kernel view.
-    pub(crate) fn view(&self) -> CellsView<'_> {
-        match self {
-            GridBuffers::Dense { ranges } => CellsView::Dense(ranges.as_slice()),
-            GridBuffers::Sparse { keys, ranges } => CellsView::Sparse {
-                keys: keys.as_slice(),
-                ranges: ranges.as_slice(),
-            },
-        }
-    }
-}
-
 /// Device-resident packed kd-tree: the four SoA node-pool buffers
 /// (splits, axes, leaf ranges, reordered ids — the tree's `A`).
 pub(crate) struct TreeBuffers {
@@ -335,9 +293,9 @@ pub(crate) struct TreeBuffers {
 
 impl TreeBuffers {
     /// Upload the node pool, returning the summed H2D transfer time.
-    pub(crate) fn upload(
+    pub(crate) fn upload<const D: usize>(
         device: &Device,
-        tree: &PackedKdTree<2>,
+        tree: &PackedKdTree<D>,
     ) -> Result<(Self, SimDuration), DeviceError> {
         let v = tree.view();
         let (splits, t0) = DeviceBuffer::from_host(device, v.splits, false)?;
@@ -365,70 +323,14 @@ impl TreeBuffers {
     }
 }
 
-/// The host-side ε-search index plus its device-resident buffers — one
-/// variant per backend. Built once per `build_table` call; the batch
-/// loop dispatches kernels on the borrowed [`SearchView`].
-enum SearchIndex {
-    Grid {
-        grid: GridIndex,
-        g_buf: GridBuffers,
-        a_buf: DeviceBuffer<u32>,
-    },
-    Tree {
-        #[allow(dead_code)] // owns the host copy backing the buffers
-        tree: PackedKdTree<2>,
-        bufs: TreeBuffers,
-    },
-}
-
-/// Borrowed, `Copy` kernel-facing view of the active search structure.
-#[derive(Clone, Copy)]
-enum SearchView<'a> {
-    Grid {
-        cells: CellsView<'a>,
-        lookup: &'a [u32],
-        geom: spatial::GridGeometry,
-    },
-    Tree {
-        tree: TreeView<'a>,
-    },
-}
-
-impl SearchIndex {
-    fn view(&self) -> SearchView<'_> {
-        match self {
-            SearchIndex::Grid { grid, g_buf, a_buf } => SearchView::Grid {
-                cells: g_buf.view(),
-                lookup: a_buf.as_slice(),
-                geom: grid.geometry(),
-            },
-            SearchIndex::Tree { bufs, .. } => SearchView::Tree { tree: bufs.view() },
-        }
-    }
-}
-
-/// The host-side index before its device upload — split from
-/// [`SearchIndex`] so `ConstructIndex` stays inside the `index_build`
-/// span while the H2D transfers land in `h2d_upload`.
-enum HostIndex {
-    Grid(GridIndex),
-    Tree(PackedKdTree<2>),
-}
-
-impl HostIndex {
-    fn upload(self, device: &Device) -> Result<(SearchIndex, SimDuration), DeviceError> {
-        match self {
-            HostIndex::Grid(grid) => {
-                let (g_buf, up_g) = GridBuffers::upload(device, &grid)?;
-                let (a_buf, up_a) = DeviceBuffer::from_host(device, grid.lookup(), false)?;
-                Ok((SearchIndex::Grid { grid, g_buf, a_buf }, up_g + up_a))
-            }
-            HostIndex::Tree(tree) => {
-                let (bufs, up_t) = TreeBuffers::upload(device, &tree)?;
-                Ok((SearchIndex::Tree { tree, bufs }, up_t))
-            }
-        }
-    }
+/// The ε-search index, one variant per backend: the point type's grid
+/// and the packed kd-tree before their H2D upload (host side, so
+/// `ConstructIndex` stays inside the `index_build` span while the
+/// transfers land in `h2d_upload`), then their device-resident buffers,
+/// which the batch loop dispatches kernels on.
+enum SearchIndex<G, T> {
+    Grid(G),
+    Tree(T),
 }
 
 /// The Hybrid-DBSCAN engine (Algorithm 4).
@@ -475,9 +377,9 @@ impl HybridDbscan {
 
     /// Full Algorithm 4: construct `T` on the (simulated) GPU, then run
     /// DBSCAN over it. Labels are returned in the caller's point order.
-    pub fn run(
+    pub fn run<const D: usize, P: EpsPoint<D>>(
         &self,
-        data: &[Point2],
+        data: &[P],
         eps: f64,
         minpts: usize,
     ) -> Result<HybridResult, HybridError> {
@@ -529,15 +431,25 @@ impl HybridDbscan {
     }
 
     /// Construct the neighbor table `T` for `data` at `eps` (lines 2-8 of
-    /// Algorithm 4, including the batching scheme of Section VI).
-    pub fn build_table(&self, data: &[Point2], eps: f64) -> Result<TableHandle, HybridError> {
+    /// Algorithm 4, including the batching scheme of Section VI). The same
+    /// pipeline serves 2-D [`spatial::Point2`] and `D`-dimensional
+    /// [`spatial::PointN`] data; only the ε-grid differs.
+    pub fn build_table<const D: usize, P: EpsPoint<D>>(
+        &self,
+        data: &[P],
+        eps: f64,
+    ) -> Result<TableHandle, HybridError> {
+        let cfg = &self.config;
         assert!(!data.is_empty(), "cannot cluster an empty database");
         assert!(
             eps > 0.0 && eps.is_finite(),
             "eps must be positive and finite"
         );
+        assert!(
+            cfg.kernel == KernelChoice::Global || P::CELL_SCHEDULE,
+            "the shared kernel needs the 2-D grid's cell schedule"
+        );
         let wall_start = Instant::now();
-        let cfg = &self.config;
         let rec = self.recorder.as_deref();
         let mut table_span = rec.map(|r| {
             let mut s = r.span("build_table", "hybrid");
@@ -548,8 +460,8 @@ impl HybridDbscan {
         // Spatial pre-sort (Section IV): improves locality and makes the
         // strided batch assignment a uniform spatial sample.
         let index_span = rec.map(|r| r.span("index_build", "host"));
-        let perm = spatial_sort_permutation(data);
-        let sorted: Vec<Point2> = perm.apply(data);
+        let perm = P::sort_permutation(data);
+        let sorted: Vec<P> = perm.apply(data);
 
         // ε-search backend selection (grid vs packed kd-tree). Both
         // backends enumerate the exact closed ε-ball, so the pair set —
@@ -566,26 +478,36 @@ impl HybridDbscan {
 
         // ConstructIndex(D, eps) on the host, plus the SoA coordinate
         // mirror the kernels' inner loops scan (host-side layout only —
-        // the device upload below stays the one Point2 array).
-        let store = PointStore::from_points(&sorted);
+        // the device upload below stays the one point array).
+        let store = P::store(&sorted);
         let host_index = match decision.chosen {
-            ChosenBackend::Grid => HostIndex::Grid(GridIndex::build(&sorted, eps)),
-            ChosenBackend::Tree => {
-                HostIndex::Tree(PackedKdTree::build(PointsViewN::from(store.view())))
-            }
+            ChosenBackend::Grid => SearchIndex::Grid(P::build_grid(&sorted, eps)),
+            ChosenBackend::Tree => SearchIndex::Tree(PackedKdTree::build(P::view(&store))),
         };
         drop(index_span);
 
         // H2D uploads of D plus the search index — (G, A) for the grid,
         // the four SoA node-pool arrays for the tree (pageable: one-off
-        // inputs). D stays one Point2 transfer — the SoA mirror is
+        // inputs). D stays one point-array transfer — the SoA mirror is
         // host-side layout only — and the buffer is held for
         // device-memory accounting.
         let upload_span = rec.map(|r| r.span("h2d_upload", "host"));
         let (_d_buf, up_d) = DeviceBuffer::from_host(&self.device, &sorted, false)?;
-        let (index, up_index) = host_index.upload(&self.device)?;
+        let (index, up_index) = match host_index {
+            SearchIndex::Grid(grid) => {
+                let (bufs, up) = P::upload_grid(&self.device, grid)?;
+                (SearchIndex::Grid(bufs), up)
+            }
+            // The host tree stays alive until the build ends: freeing it
+            // before the batch loop changes the allocator's heap under the
+            // table build, and measured ~20% slower jobs on the SW4 ε
+            // sweep (2-vCPU host).
+            SearchIndex::Tree(tree) => {
+                let (bufs, up) = TreeBuffers::upload(&self.device, &tree)?;
+                (SearchIndex::Tree((tree, bufs)), up)
+            }
+        };
         drop(upload_span);
-        let search = index.view();
 
         // Result-size estimation kernel over the f-sample. Both count
         // kernels are exact at a given stride, so `e_b` — and with it the
@@ -596,28 +518,20 @@ impl HybridDbscan {
         // place (BatchConfig), or the realized sample fraction and the
         // assumed one drift apart and bias a_b.
         let stride = cfg.batch.stride_for(sorted.len());
-        let est_report = match search {
-            SearchView::Grid {
-                cells,
-                lookup,
-                geom,
-            } => {
-                let count_kernel = NeighborCountKernel {
-                    points: store.view(),
-                    grid: cells,
-                    lookup,
-                    geom,
-                    eps,
-                    stride,
-                    counter: &counter,
-                };
-                self.device
-                    .launch(count_kernel.launch_config(cfg.block_dim), &count_kernel)?
-            }
-            SearchView::Tree { tree } => {
+        let est_report = match &index {
+            SearchIndex::Grid(grid) => P::launch_count(
+                &self.device,
+                cfg.block_dim,
+                &store,
+                grid,
+                eps,
+                stride,
+                &counter,
+            )?,
+            SearchIndex::Tree((_, tree)) => {
                 let count_kernel = TreeCountKernel {
-                    points: PointsViewN::from(store.view()),
-                    tree,
+                    points: P::view(&store),
+                    tree: tree.view(),
                     eps,
                     stride,
                     counter: &counter,
@@ -655,10 +569,10 @@ impl HybridDbscan {
         let shared_batches: Option<Vec<Vec<u32>>> = match cfg.kernel {
             KernelChoice::Global => None,
             KernelChoice::Shared => {
-                let SearchIndex::Grid { grid, .. } = &index else {
+                let SearchIndex::Grid(grid) = &index else {
                     unreachable!("shared kernel always runs on the grid backend")
                 };
-                let (batches, required) = pack_shared_cells(grid, plan.buffer_items);
+                let (batches, required) = P::pack_cells(grid, plan.buffer_items);
                 if required > plan.buffer_items {
                     let budget = self
                         .device
@@ -699,9 +613,9 @@ impl HybridDbscan {
         let mut discarded_batches = 0usize;
         let mut discarded_pairs = 0usize;
         let (builder, chains, profile, per_batch_pairs) = loop {
-            match self.run_batches(
+            match self.run_batches::<D, P>(
                 &store,
-                search,
+                &index,
                 eps,
                 &attempt_plan,
                 shared_batches.as_deref(),
@@ -998,10 +912,10 @@ impl HybridDbscan {
     /// thread count, including 1 (where the workers simply run one after
     /// another).
     #[allow(clippy::too_many_arguments)]
-    fn run_batches(
+    fn run_batches<const D: usize, P: EpsPoint<D>>(
         &self,
-        store: &PointStore,
-        search: SearchView<'_>,
+        store: &P::Store,
+        search: &SearchIndex<P::DeviceGrid, (PackedKdTree<D>, TreeBuffers)>,
         eps: f64,
         plan: &BatchPlan,
         shared_batches: Option<&[Vec<u32>]>,
@@ -1011,7 +925,7 @@ impl HybridDbscan {
         let cfg = &self.config;
         let n_b = shared_batches.map_or(plan.n_batches, |b| b.len().max(1));
         let n_buffers = dev_buffers.len();
-        let builder = NeighborTableBuilder::new(eps, store.len(), n_b);
+        let builder = NeighborTableBuilder::new(eps, P::view(store).len(), n_b);
 
         /// What one batch hands from its stream worker to the drain loop.
         struct BatchOutcome {
@@ -1042,11 +956,11 @@ impl HybridDbscan {
 
                 // Kernel launch (functional execution + modeled duration);
                 // the device's compute engine admits one kernel at a time.
-                let launched = match (search, cfg.kernel) {
-                    (SearchView::Tree { tree }, _) => {
+                let launched = match (search, shared_batches) {
+                    (SearchIndex::Tree((_, tree)), _) => {
                         let kernel = GpuCalcTree {
-                            points: PointsViewN::from(store.view()),
-                            tree,
+                            points: P::view(store),
+                            tree: tree.view(),
                             eps,
                             batch: l,
                             n_batches: n_b,
@@ -1057,57 +971,26 @@ impl HybridDbscan {
                                 .launch(kernel.launch_config(cfg.block_dim), &kernel),
                         )
                     }
-                    (
-                        SearchView::Grid {
-                            cells,
-                            lookup,
-                            geom,
-                        },
-                        KernelChoice::Global,
-                    ) => {
-                        let kernel = GpuCalcGlobal {
-                            points: store.view(),
-                            grid: cells,
-                            lookup,
-                            geom,
-                            eps,
-                            batch: l,
-                            n_batches: n_b,
-                            result: buf,
-                            skip_dense_at: None,
+                    (SearchIndex::Grid(grid), batches) => {
+                        let batch = match batches {
+                            None => Some(GridBatch::Strided {
+                                batch: l,
+                                n_batches: n_b,
+                            }),
+                            Some(cells) if cells[l].is_empty() => None,
+                            Some(cells) => Some(GridBatch::Cells(&cells[l])),
                         };
-                        Some(
-                            self.device
-                                .launch(kernel.launch_config(cfg.block_dim), &kernel),
-                        )
-                    }
-                    (
-                        SearchView::Grid {
-                            cells,
-                            lookup,
-                            geom,
-                        },
-                        KernelChoice::Shared,
-                    ) => {
-                        let batch_cells: &[u32] =
-                            &shared_batches.expect("shared kernel requires a cell packing")[l];
-                        if batch_cells.is_empty() {
-                            None
-                        } else {
-                            let kernel = GpuCalcShared {
-                                points: store.view(),
-                                grid: cells,
-                                lookup,
-                                geom,
+                        batch.map(|batch| {
+                            P::launch_calc(
+                                &self.device,
+                                cfg.block_dim,
+                                store,
+                                grid,
                                 eps,
-                                schedule: batch_cells,
-                                result: buf,
-                            };
-                            Some(
-                                self.device
-                                    .launch(kernel.launch_config(cfg.block_dim), &kernel),
+                                batch,
+                                buf,
                             )
-                        }
+                        })
                     }
                 };
                 let report = match launched {
@@ -1289,51 +1172,36 @@ impl HybridDbscan {
     }
 }
 
-/// Pack the non-empty cells of `grid` into batches for the shared kernel.
-///
-/// The paper's strided point assignment does not apply to a block-per-cell
-/// kernel: one dense cell can emit more pairs than a whole batch budget.
-/// Instead we bound each cell's output conservatively by
-/// `m_h × Σ_{h' ∈ adj(h)} m_{h'}` (every pair a cell's blocks can emit is
-/// counted) and first-fit cells, in schedule order, into batches whose
-/// summed bound stays within `capacity`. Overflow is therefore impossible
-/// by construction. Returns the batches and the capacity actually needed
-/// (which exceeds `capacity` only when a single cell's bound does).
-fn pack_shared_cells(grid: &GridIndex, capacity: usize) -> (Vec<Vec<u32>>, usize) {
-    let cells = grid.cells_view();
-    let geom = grid.geometry();
-    let mut required = capacity.max(1);
-    let mut bounds = Vec::with_capacity(grid.non_empty_cells().len());
-    for &h in grid.non_empty_cells() {
-        let m = cells.range_of(h).len();
-        let (adj, n_adj) = geom.neighbor_cells(h as usize);
-        let neighborhood: usize = adj[..n_adj].iter().map(|&a| cells.range_of(a).len()).sum();
-        let bound = m * neighborhood;
-        required = required.max(bound);
-        bounds.push((h, bound));
-    }
-    let mut batches: Vec<Vec<u32>> = Vec::new();
-    let mut current: Vec<u32> = Vec::new();
-    let mut load = 0usize;
-    for (h, bound) in bounds {
-        if load + bound > required && !current.is_empty() {
-            batches.push(std::mem::take(&mut current));
-            load = 0;
-        }
-        current.push(h);
-        load += bound;
-    }
-    if !current.is_empty() {
-        batches.push(current);
-    }
-    (batches, required)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::dbscan::GridSource;
     use crate::kernels::test_support::mixed_points;
+    use crate::shard::{clustering_fingerprint, table_fingerprint};
+    use spatial::nd::brute_force_neighbors_nd;
+    use spatial::{GridIndex, Point2, PointN};
+
+    /// Quasi-random `D`-dimensional points filling `[0, extent)^D`.
+    fn nd_points<const D: usize>(n: usize, extent: f64) -> Vec<PointN<D>> {
+        (0..n)
+            .map(|i| {
+                let t = i as f64;
+                PointN::new(std::array::from_fn(|k| {
+                    (t * (0.433 + 0.239 * k as f64)).fract() * extent
+                }))
+            })
+            .collect()
+    }
+
+    fn build_with<const D: usize, P: EpsPoint<D>>(
+        cfg: HybridConfig,
+        data: &[P],
+        eps: f64,
+    ) -> TableHandle {
+        HybridDbscan::new(&Device::k20c(), cfg)
+            .build_table(data, eps)
+            .unwrap()
+    }
 
     /// A 1-D line with a denser middle third. Per-point neighbor counts
     /// are near-constant within each region and strided batches sample
@@ -1384,20 +1252,32 @@ mod tests {
 
     #[test]
     fn multi_batch_run_matches_single_batch() {
-        let data = mixed_points(800);
-        let device = Device::k20c();
-        let one = HybridDbscan::new(&device, HybridConfig::default());
-        let many_cfg = HybridConfig {
-            batch: tiny_batch_config(2000), // forces several batches
-            ..HybridConfig::default()
-        };
-        let many = HybridDbscan::new(&device, many_cfg);
-
-        let r1 = one.run(&data, 0.6, 4).unwrap();
-        let rn = many.run(&data, 0.6, 4).unwrap();
-        assert!(rn.gpu.n_batches > 1, "test must exercise batching");
-        assert!(r1.clustering.equivalent_to(&rn.clustering));
-        assert_eq!(r1.gpu.result_pairs, rn.gpu.result_pairs);
+        fn check<const D: usize, P: EpsPoint<D>>(data: &[P], eps: f64, backend: IndexBackend) {
+            let device = Device::k20c();
+            let one = HybridDbscan::new(
+                &device,
+                HybridConfig {
+                    backend,
+                    ..HybridConfig::default()
+                },
+            );
+            let many = HybridDbscan::new(
+                &device,
+                HybridConfig {
+                    backend,
+                    batch: tiny_batch_config(2000), // forces several batches
+                    ..HybridConfig::default()
+                },
+            );
+            let r1 = one.run(data, eps, 4).unwrap();
+            let rn = many.run(data, eps, 4).unwrap();
+            assert!(rn.gpu.n_batches > 1, "test must exercise batching");
+            assert!(r1.clustering.equivalent_to(&rn.clustering));
+            assert_eq!(r1.gpu.result_pairs, rn.gpu.result_pairs);
+        }
+        check(&mixed_points(800), 0.6, IndexBackend::Grid);
+        check(&nd_points::<3>(500, 4.0), 0.8, IndexBackend::Grid);
+        check(&nd_points::<3>(500, 4.0), 0.8, IndexBackend::Tree);
     }
 
     #[test]
@@ -1791,35 +1671,41 @@ mod tests {
 
     #[test]
     fn tree_backend_matches_grid_bitwise() {
-        let data = mixed_points(600);
-        let device = Device::k20c();
-        let grid = HybridDbscan::new(&device, HybridConfig::default());
-        let tree = HybridDbscan::new(
-            &device,
-            HybridConfig {
+        fn check<const D: usize, P: EpsPoint<D>>(data: &[P], eps: f64) {
+            let tree_cfg = HybridConfig {
                 backend: IndexBackend::Tree,
                 ..HybridConfig::default()
-            },
-        );
-        let hg = grid.build_table(&data, 0.6).unwrap();
-        let ht = tree.build_table(&data, 0.6).unwrap();
-        assert_eq!(hg.gpu.backend.chosen, ChosenBackend::Grid);
-        assert_eq!(ht.gpu.backend.chosen, ChosenBackend::Tree);
-        // Exact count kernels on both sides → identical e_b → identical
-        // batch plan → (after the canonical device sort) identical tables.
-        assert_eq!(hg.gpu.e_b, ht.gpu.e_b);
-        assert_eq!(hg.gpu.n_batches, ht.gpu.n_batches);
-        assert_eq!(hg.gpu.per_batch_pairs, ht.gpu.per_batch_pairs);
-        assert_eq!(
-            crate::shard::table_fingerprint(&hg.table),
-            crate::shard::table_fingerprint(&ht.table)
-        );
-        let (cg, _) = HybridDbscan::cluster_with_table(&hg, 4);
-        let (ct, _) = HybridDbscan::cluster_with_table(&ht, 4);
-        assert_eq!(
-            crate::shard::clustering_fingerprint(&cg),
-            crate::shard::clustering_fingerprint(&ct)
-        );
+            };
+            let hg = build_with(HybridConfig::default(), data, eps);
+            let ht = build_with(tree_cfg, data, eps);
+            assert_eq!(hg.gpu.backend.chosen, ChosenBackend::Grid);
+            assert_eq!(ht.gpu.backend.chosen, ChosenBackend::Tree);
+            // Exact count kernels on both sides → identical e_b →
+            // identical batch plan → (after the canonical device sort)
+            // identical tables.
+            assert_eq!(hg.gpu.e_b, ht.gpu.e_b);
+            assert_eq!(hg.gpu.n_batches, ht.gpu.n_batches);
+            assert_eq!(hg.gpu.per_batch_pairs, ht.gpu.per_batch_pairs);
+            assert_eq!(table_fingerprint(&hg.table), table_fingerprint(&ht.table));
+            let (cg, _) = HybridDbscan::cluster_with_table(&hg, 4);
+            let (ct, _) = HybridDbscan::cluster_with_table(&ht, 4);
+            assert_eq!(clustering_fingerprint(&cg), clustering_fingerprint(&ct));
+
+            // Table neighborhoods equal the brute-force oracle (ids in
+            // sorted order, mapped through the permutation).
+            let sorted: Vec<PointN<D>> = hg
+                .perm
+                .iter()
+                .map(|&i| PointN::new(data[i as usize].coords()))
+                .collect();
+            for i in (0..sorted.len()).step_by(37) {
+                let want = brute_force_neighbors_nd(&sorted, &sorted[i], eps);
+                assert_eq!(hg.table.neighbors(i as u32), &want[..], "{D}-D point {i}");
+            }
+        }
+        check(&mixed_points(600), 0.6);
+        check(&nd_points::<3>(400, 4.0), 0.8);
+        check(&nd_points::<4>(250, 3.0), 0.7);
     }
 
     #[test]
@@ -1849,25 +1735,22 @@ mod tests {
 
     #[test]
     fn auto_backend_resolves_and_matches_grid() {
-        let data = mixed_points(600);
-        let device = Device::k20c();
-        let auto = HybridDbscan::new(
-            &device,
-            HybridConfig {
+        fn check<const D: usize, P: EpsPoint<D>>(data: &[P], eps: f64) {
+            let auto_cfg = HybridConfig {
                 backend: IndexBackend::Auto,
                 ..HybridConfig::default()
-            },
-        );
-        let ha = auto.build_table(&data, 0.6).unwrap();
-        assert_eq!(ha.gpu.backend.requested, IndexBackend::Auto);
-        assert_eq!(ha.gpu.backend.reason, "auto");
-        let hg = HybridDbscan::new(&device, HybridConfig::default())
-            .build_table(&data, 0.6)
-            .unwrap();
-        assert_eq!(
-            crate::shard::table_fingerprint(&hg.table),
-            crate::shard::table_fingerprint(&ha.table)
-        );
+            };
+            let ha = build_with(auto_cfg, data, eps);
+            assert_eq!(ha.gpu.backend.requested, IndexBackend::Auto);
+            assert_eq!(ha.gpu.backend.reason, "auto");
+            let hg = build_with(HybridConfig::default(), data, eps);
+            assert_eq!(table_fingerprint(&hg.table), table_fingerprint(&ha.table));
+            let (ca, _) = HybridDbscan::cluster_with_table(&ha, 4);
+            let (cg, _) = HybridDbscan::cluster_with_table(&hg, 4);
+            assert_eq!(clustering_fingerprint(&ca), clustering_fingerprint(&cg));
+        }
+        check(&mixed_points(600), 0.6);
+        check(&nd_points::<3>(400, 3.0), 0.7);
     }
 
     #[test]
@@ -1888,5 +1771,66 @@ mod tests {
         let grid = GridIndex::build(&data, 0.7);
         let direct = Dbscan::new(4).run(&GridSource::new(&grid, &data));
         assert!(r.clustering.equivalent_to(&direct));
+    }
+
+    #[test]
+    fn nd_overflow_recovery_matches_unbatched_table() {
+        // Tiny static buffers overflow the first pass; the exact replan
+        // (HybridConfig::max_retries, not a hard-coded bound) recovers.
+        let data = nd_points::<3>(300, 2.0);
+        let cfg = HybridConfig {
+            backend: IndexBackend::Tree,
+            batch: BatchConfig {
+                alpha: -0.9,
+                sample_fraction: 1.0,
+                static_threshold: 0,
+                static_buffer_items: 64,
+                n_streams: 3,
+            },
+            max_retries: 16,
+            ..HybridConfig::default()
+        };
+        let h = build_with(cfg, &data, 0.8);
+        assert!(h.gpu.retries > 0, "undersized plan must trigger retries");
+        assert!(h.gpu.discarded_batches > 0);
+        let reference = build_with(HybridConfig::default(), &data, 0.8);
+        assert_eq!(
+            table_fingerprint(&h.table),
+            table_fingerprint(&reference.table)
+        );
+    }
+
+    #[test]
+    fn nd_retries_honor_max_retries() {
+        let data = nd_points::<3>(300, 2.0);
+        let cfg = HybridConfig {
+            batch: BatchConfig {
+                alpha: -0.9,
+                sample_fraction: 1.0,
+                static_threshold: 0,
+                static_buffer_items: 64,
+                n_streams: 3,
+            },
+            max_retries: 0,
+            ..HybridConfig::default()
+        };
+        let err = HybridDbscan::new(&Device::k20c(), cfg)
+            .build_table(&data, 0.8)
+            .err()
+            .expect("a forced overflow with no retries must fail");
+        assert!(
+            matches!(err, HybridError::RetriesExhausted { attempts: 1 }),
+            "{err:?}"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "cell schedule")]
+    fn shared_kernel_rejects_nd_input() {
+        let cfg = HybridConfig {
+            kernel: KernelChoice::Shared,
+            ..HybridConfig::default()
+        };
+        let _ = HybridDbscan::new(&Device::k20c(), cfg).build_table(&nd_points::<3>(50, 2.0), 0.5);
     }
 }

@@ -49,18 +49,18 @@
 //! * [`backend`] — ε-search backend selection: grid vs packed kd-tree
 //!   ([`kernels::GpuCalcTree`]), explicit or `Auto` from deterministic
 //!   sampled cell statistics, recorded in provenance (DESIGN.md §16).
-//! * [`nd`] — the hybrid table build and DBSCAN over d ∈ {2, 3, 4}
-//!   data (`PointN<D>`), with either backend (DESIGN.md §16).
+//!   [`hybrid`] runs either backend over 2-D `Point2` and d ∈ {3, 4}
+//!   `PointN<D>` data through the same pipeline.
 
 pub mod backend;
 pub mod batch;
 pub mod cuda_dclust;
 pub mod dbscan;
 pub mod disjoint_set;
+mod eps_index;
 pub mod gdbscan;
 pub mod hybrid;
 pub mod kernels;
-pub mod nd;
 pub mod optics;
 pub mod oracle;
 pub mod pipeline;

@@ -1,8 +1,8 @@
 //! The d > 2 differential tier: tree backend vs grid backend vs the
 //! brute-force oracle in 3-D and 4-D.
 //!
-//! `build_table_nd` promises the same cross-backend contract as the 2-D
-//! hybrid: bitwise-identical neighbor tables and clusterings from the
+//! `HybridDbscan::build_table` over `PointN<D>` promises the same
+//! cross-backend contract as in 2-D: bitwise-identical neighbor tables and clusterings from the
 //! grid and tree ε-search backends, with `Auto` resolving to one of them
 //! and matching it exactly. This module holds that promise against the
 //! same adversarial style as the 2-D families — exact-lattice inputs
@@ -17,7 +17,8 @@ use crate::generators::Q;
 use gpu_sim::Device;
 use hybrid_dbscan_core::backend::IndexBackend;
 use hybrid_dbscan_core::batch::BatchConfig;
-use hybrid_dbscan_core::nd::{build_table_nd, cluster_table_nd, NdTableHandle};
+use hybrid_dbscan_core::dbscan::Clustering;
+use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, TableHandle};
 use hybrid_dbscan_core::shard::{clustering_fingerprint, table_fingerprint};
 use proptest::TestRng;
 use spatial::nd::brute_force_neighbors_nd;
@@ -49,11 +50,20 @@ fn build<const D: usize>(
     data: &[PointN<D>],
     eps: f64,
     backend: IndexBackend,
-    cfg: &BatchConfig,
-) -> NdTableHandle {
-    let device = Device::k20c();
-    build_table_nd(&device, data, eps, backend, cfg, 256)
-        .unwrap_or_else(|e| panic!("build_table_nd failed: {e:?}"))
+    batch: &BatchConfig,
+) -> TableHandle {
+    let cfg = HybridConfig {
+        backend,
+        batch: *batch,
+        ..HybridConfig::default()
+    };
+    HybridDbscan::new(&Device::k20c(), cfg)
+        .build_table(data, eps)
+        .unwrap_or_else(|e| panic!("build_table failed: {e:?}"))
+}
+
+fn cluster(h: &TableHandle, minpts: usize) -> Clustering {
+    HybridDbscan::cluster_with_table(h, minpts).0
 }
 
 /// A batch config small enough that every non-trivial case runs the
@@ -102,22 +112,22 @@ fn check_case_nd<const D: usize>(case: &CaseNd<D>) -> Result<(), String> {
     }
 
     let tree = build(data, eps, IndexBackend::Tree, &cfg);
-    if grid.e_b != tree.e_b {
+    if grid.gpu.e_b != tree.gpu.e_b {
         return Err(format!(
             "{}-D e_b: grid {} != tree {}",
-            D, grid.e_b, tree.e_b
+            D, grid.gpu.e_b, tree.gpu.e_b
         ));
     }
-    if grid.n_batches != tree.n_batches {
+    if grid.gpu.n_batches != tree.gpu.n_batches {
         return Err(format!(
             "{}-D n_batches: grid {} != tree {}",
-            D, grid.n_batches, tree.n_batches
+            D, grid.gpu.n_batches, tree.gpu.n_batches
         ));
     }
-    if grid.result_pairs != tree.result_pairs {
+    if grid.gpu.result_pairs != tree.gpu.result_pairs {
         return Err(format!(
             "{}-D result_pairs: grid {} != tree {}",
-            D, grid.result_pairs, tree.result_pairs
+            D, grid.gpu.result_pairs, tree.gpu.result_pairs
         ));
     }
     let gfp = table_fingerprint(&grid.table);
@@ -133,17 +143,17 @@ fn check_case_nd<const D: usize>(case: &CaseNd<D>) -> Result<(), String> {
         return Err(format!(
             "{}-D auto table (chose {}) != grid table",
             D,
-            auto.backend.chosen.name()
+            auto.gpu.backend.chosen.name()
         ));
     }
 
-    let cg = clustering_fingerprint(&cluster_table_nd(&grid, minpts));
+    let cg = clustering_fingerprint(&cluster(&grid, minpts));
     for (name, h) in [
         ("tree", &tree),
         ("tree-batched", &tree_batched),
         ("auto", &auto),
     ] {
-        if clustering_fingerprint(&cluster_table_nd(h, minpts)) != cg {
+        if clustering_fingerprint(&cluster(h, minpts)) != cg {
             return Err(format!("{D}-D {name} clustering != grid clustering"));
         }
     }
@@ -335,11 +345,11 @@ fn nd_schedule_independence_at_1_and_4_threads() {
                 let h = build(&case.data, case.eps, backend, &cfg);
                 (
                     table_fingerprint(&h.table),
-                    clustering_fingerprint(&cluster_table_nd(&h, case.minpts)),
-                    h.e_b,
-                    h.n_batches,
-                    h.result_pairs,
-                    h.modeled_time.as_secs().to_bits(),
+                    clustering_fingerprint(&cluster(&h, case.minpts)),
+                    h.gpu.e_b,
+                    h.gpu.n_batches,
+                    h.gpu.result_pairs,
+                    h.gpu.modeled_time.as_secs().to_bits(),
                 )
             })
         })

@@ -14,9 +14,9 @@
 use gpu_sim::device::Device;
 use hybrid_dbscan_core::backend::IndexBackend;
 use hybrid_dbscan_core::disjoint_set::dbscan_disjoint_set;
-use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
+use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
 use proptest::prelude::*;
-use spatial::Point2;
+use spatial::{Point2, PointN};
 
 /// Everything a run produces that must be schedule-independent.
 #[derive(Debug, PartialEq)]
@@ -47,6 +47,20 @@ fn run_config_at(
     eps: f64,
     minpts: usize,
 ) -> RunFingerprint {
+    fingerprint_at(threads, cfg, minpts, |h| h.build_table(data, eps))
+}
+
+/// A table build over some point set; the closure picks the point type.
+type BuildFn<'a> = dyn Fn(&HybridDbscan) -> Result<TableHandle, HybridError> + 'a;
+
+/// Fingerprint one `build` (2-D or N-D: the closure picks the point
+/// type) and its clusterings on a `threads`-thread pool view.
+fn fingerprint_at(
+    threads: usize,
+    cfg: &HybridConfig,
+    minpts: usize,
+    build: impl FnOnce(&HybridDbscan) -> Result<TableHandle, HybridError>,
+) -> RunFingerprint {
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
@@ -54,7 +68,7 @@ fn run_config_at(
     pool.install(|| {
         let device = Device::k20c();
         let hybrid = HybridDbscan::new(&device, *cfg);
-        let handle = hybrid.build_table(data, eps).expect("build_table");
+        let handle = build(&hybrid).expect("build_table");
         let (clustering, _dbscan_time) = HybridDbscan::cluster_with_table(&handle, minpts);
         let ds = dbscan_disjoint_set(&handle.table, minpts);
         let to_i64 = |c: &hybrid_dbscan_core::dbscan::Clustering| {
@@ -123,13 +137,17 @@ proptest! {
     /// schedule-independent output must still match the 1-thread run
     /// exactly — and a live `ProfileSession` must observe without
     /// perturbing (the profiled run doubles as the instrumented case).
+    /// The 3-D and 4-D projections of the same points run the same
+    /// pipeline and are held to the same contract.
     #[test]
     fn pipelined_batches_identical_at_1_2_and_8_threads(
-        raw in prop::collection::vec((0.0f64..6.0, 0.0f64..6.0), 80..200),
+        raw in prop::collection::vec((0.0f64..6.0, 0.0f64..6.0, 0.0f64..3.0, 0.0f64..3.0), 80..200),
         eps_scaled in 40u32..110,
         minpts in 2usize..5,
     ) {
-        let data: Vec<Point2> = raw.iter().map(|&(x, y)| Point2::new(x, y)).collect();
+        let data: Vec<Point2> = raw.iter().map(|&(x, y, _, _)| Point2::new(x, y)).collect();
+        let data3: Vec<PointN<3>> = raw.iter().map(|&(x, y, z, _)| PointN::new([x, y, z])).collect();
+        let data4: Vec<PointN<4>> = raw.iter().map(|&(x, y, z, w)| PointN::new([x, y, z, w])).collect();
         let eps = eps_scaled as f64 / 100.0;
         let cfg = HybridConfig {
             batch: hybrid_dbscan_core::batch::BatchConfig {
@@ -157,6 +175,26 @@ proptest! {
                  {} batches, {} pool tasks)",
                 threads, eps, minpts, base.n_batches, profile.total_tasks()
             );
+        }
+        let nd_runs: [(&str, &BuildFn); 2] = [
+            ("3-D", &|h| h.build_table(&data3, eps)),
+            ("4-D", &|h| h.build_table(&data4, eps)),
+        ];
+        for (dim, build) in nd_runs {
+            let base = fingerprint_at(1, &cfg, minpts, build);
+            prop_assert!(
+                base.n_batches > 1,
+                "{} workload too small to engage the pipeline ({} batches)",
+                dim, base.n_batches
+            );
+            for threads in [2usize, 8] {
+                let other = fingerprint_at(threads, &cfg, minpts, build);
+                prop_assert_eq!(
+                    &base, &other,
+                    "{} pipelined run diverged at {} threads (eps={}, minpts={})",
+                    dim, threads, eps, minpts
+                );
+            }
         }
     }
 

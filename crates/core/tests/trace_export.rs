@@ -6,10 +6,11 @@
 //! that every emitted document (trace + metrics snapshot) round-trips.
 
 use gpu_sim::device::Device;
+use hybrid_dbscan_core::batch::BatchConfig;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use obs::json::{parse, JsonValue};
 use obs::Recorder;
-use spatial::Point2;
+use spatial::{Point2, PointN};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -28,6 +29,22 @@ fn tiny_points(n: usize) -> Vec<Point2> {
         .collect()
 }
 
+/// A deterministic 3-D counterpart of [`tiny_points`]: eight clusters
+/// at the corners of a cube.
+fn tiny_points_3d(n: usize) -> Vec<PointN<3>> {
+    (0..n)
+        .map(|i| {
+            let cluster = i % 8;
+            let k = (i / 8) as f64;
+            PointN::new([
+                (cluster & 1) as f64 * 10.0 + (k * 0.618).fract(),
+                ((cluster >> 1) & 1) as f64 * 10.0 + (k * 0.382).fract(),
+                (cluster >> 2) as f64 * 10.0 + (k * 0.271).fract(),
+            ])
+        })
+        .collect()
+}
+
 #[test]
 fn exported_trace_is_valid_and_lanes_do_not_overlap() {
     let data = tiny_points(400);
@@ -35,7 +52,43 @@ fn exported_trace_is_valid_and_lanes_do_not_overlap() {
     let rec = Arc::new(Recorder::new());
     let hybrid = HybridDbscan::new(&device, HybridConfig::default()).with_recorder(rec.clone());
     hybrid.build_table(&data, 0.9).expect("build_table");
+    check_exported_trace(&rec);
+}
 
+/// N-D builds run the same pipeline, so they emit the same layer spans
+/// and device-lane ops, and their trace obeys the same contract.
+#[test]
+fn nd_build_trace_is_valid_and_lanes_do_not_overlap() {
+    let data = tiny_points_3d(400);
+    let device = Device::k20c();
+    let rec = Arc::new(Recorder::new());
+    let cfg = HybridConfig {
+        batch: BatchConfig {
+            static_threshold: 0,
+            static_buffer_items: 512,
+            ..BatchConfig::default()
+        },
+        ..HybridConfig::default()
+    };
+    let hybrid = HybridDbscan::new(&device, cfg).with_recorder(rec.clone());
+    let handle = hybrid.build_table(&data, 0.9).expect("build_table");
+    assert!(handle.gpu.n_batches > 1, "test must exercise batching");
+    let spans = rec.spans();
+    for name in [
+        "build_table",
+        "index_build",
+        "h2d_upload",
+        "estimation_kernel",
+        "batch_loop",
+    ] {
+        assert!(spans.iter().any(|s| s.name == name), "missing span {name}");
+    }
+    assert_eq!(rec.device_ops().len(), 3 + handle.gpu.schedule.ops.len());
+    check_exported_trace(&rec);
+}
+
+/// Export `rec`'s trace and metrics and check the trace-event contract.
+fn check_exported_trace(rec: &Recorder) {
     let json_text = rec.chrome_trace_json();
     let doc = parse(&json_text).expect("trace must be valid JSON");
 

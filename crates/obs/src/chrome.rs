@@ -64,6 +64,11 @@ pub fn device_engine_lane_name(device: u32, engine: Engine) -> String {
     }
 }
 
+/// `us` rounded to the 1 ns (3-decimal µs) grid the JSON writer emits.
+fn round_ns(us: f64) -> f64 {
+    (us * 1e3).round() / 1e3
+}
+
 fn metadata_event(w: &mut JsonWriter, name: &str, pid: u64, tid: u64, value: &str) {
     w.begin_object();
     w.field_str("name", name);
@@ -138,8 +143,12 @@ pub fn export(rec: &Recorder) -> String {
         w.field_str("name", &op.label);
         w.field_str("cat", "device");
         w.field_str("ph", "X");
-        w.field_float("ts", op.start_us);
-        w.field_float("dur", op.dur_us);
+        // Round the end, not the duration, to the exported 1 ns grid:
+        // ops that abut on an engine's timeline must still abut after
+        // the 3-decimal export, never overlap by a rounding step.
+        let ts = round_ns(op.start_us);
+        w.field_float("ts", ts);
+        w.field_float("dur", round_ns(op.start_us + op.dur_us) - ts);
         w.field_uint("pid", DEVICE_PID);
         w.field_uint("tid", device_engine_tid(op.device, op.engine));
         w.key("args");

@@ -231,14 +231,6 @@ pub fn spatial_sort_permutation_nd<const D: usize>(data: &[PointN<D>]) -> SortPe
     SortPermutation::from_order(order)
 }
 
-/// Apply a permutation to a `D`-dimensional point array (gather).
-pub fn apply_permutation_nd<const D: usize>(
-    perm: &SortPermutation,
-    data: &[PointN<D>],
-) -> Vec<PointN<D>> {
-    perm.as_slice().iter().map(|&i| data[i as usize]).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -327,7 +319,7 @@ mod tests {
             assert!(!seen[i as usize]);
             seen[i as usize] = true;
         }
-        let sorted = apply_permutation_nd(&p1, &data);
+        let sorted = p1.apply(&data);
         assert_eq!(sorted.len(), data.len());
     }
 

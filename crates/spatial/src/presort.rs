@@ -37,7 +37,7 @@ impl SortPermutation {
     /// Apply the permutation, producing the sorted point array. An
     /// index-addressed gather: parallel and serial paths write the same
     /// element at the same position.
-    pub fn apply(&self, data: &[Point2]) -> Vec<Point2> {
+    pub fn apply<T: Copy + Send + Sync>(&self, data: &[T]) -> Vec<T> {
         if data.len() >= PAR_MIN_POINTS && rayon::current_num_threads() > 1 {
             self.order.par_iter().map(|&i| data[i as usize]).collect()
         } else {

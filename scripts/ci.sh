@@ -39,6 +39,11 @@ step "test (RAYON_NUM_THREADS=4)" env RAYON_NUM_THREADS=4 cargo test --workspace
 # clusterers and all three indexes against the brute-force oracle, at
 # both pool sizes. Part of the workspace suite above, repeated here
 # explicitly so a differential regression is named in the CI output.
+# The repo benchmark (perfbench/) is a Cargo workspace of its own, so the
+# workspace steps above never compile it. Its self-tests build it against
+# the current crates and check its layer replay against `build_table`.
+step "perfbench self-tests" \
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml -q
 step "differential quick (RAYON_NUM_THREADS=1)" \
     env RAYON_NUM_THREADS=1 cargo test -p hybrid-dbscan-core --test differential -q
 step "differential quick (RAYON_NUM_THREADS=4)" \
