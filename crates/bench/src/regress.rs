@@ -2,7 +2,7 @@
 //!
 //! Runs a fixed suite of S1/S2/S3 workloads (kernel variant × dataset ×
 //! ε), each with warmup + N timed trials, and summarizes every stage
-//! (`build_table`, `dbscan`, `disjoint_set`, and the modeled device time)
+//! (`build_table`, `dbscan`, and the modeled device time)
 //! as median/MAD/IQR ([`crate::stats`]). Per-kernel device counters
 //! (occupancy, global-memory GB/s, atomics) come from
 //! [`gpu_sim::profiler::KernelProfile`] and are threaded through
@@ -22,7 +22,6 @@
 use crate::common::{baseline_refresh, DatasetCache, Options, TextTable};
 use crate::stats;
 use gpu_sim::Device;
-use hybrid_dbscan_core::disjoint_set::dbscan_disjoint_set;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
 use obs::bench::{BenchDoc, StageStats, WorkloadResult, SCHEMA_VERSION};
 use obs::ledger::{GateOutcome, LedgerEntry, LedgerRecord, StagePoint, RECORD_VERSION};
@@ -111,7 +110,6 @@ fn run_workload(
     let trials = trials.max(1);
     let mut build_ms = Vec::with_capacity(trials);
     let mut dbscan_ms = Vec::with_capacity(trials);
-    let mut disjoint_ms = Vec::with_capacity(trials);
     let mut modeled_ms = Vec::with_capacity(trials);
     let mut out = WorkloadResult {
         id: w.id.to_string(),
@@ -131,22 +129,11 @@ fn run_workload(
 
         let (clustering, dbscan_time) = HybridDbscan::cluster_with_table(&handle, w.minpts);
 
-        let t1 = Instant::now();
-        let ds = dbscan_disjoint_set(&handle.table, w.minpts);
-        let disjoint = t1.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(
-            clustering.num_clusters(),
-            ds.num_clusters(),
-            "{}: sequential and disjoint-set DBSCAN disagree",
-            w.id
-        );
-
         if i < warmup {
             continue;
         }
         build_ms.push(build);
         dbscan_ms.push(dbscan_time.as_millis());
-        disjoint_ms.push(disjoint);
         modeled_ms.push(handle.gpu.modeled_time.as_millis());
         // Exact bit pattern of the modeled seconds: the determinism
         // witness the ledger/trend layer tracks across runs.
@@ -184,8 +171,6 @@ fn run_workload(
         .insert("build_table".into(), stats::summarize(&build_ms));
     out.stages
         .insert("dbscan".into(), stats::summarize(&dbscan_ms));
-    out.stages
-        .insert("disjoint_set".into(), stats::summarize(&disjoint_ms));
     out.stages
         .insert("modeled".into(), stats::summarize(&modeled_ms));
     out
@@ -422,7 +407,6 @@ fn print_doc(doc: &BenchDoc) {
         "build_table",
         "±MAD",
         "DBSCAN",
-        "disjoint-set",
         "modeled GPU",
         "occ",
         "GB/s",
@@ -441,7 +425,6 @@ fn print_doc(doc: &BenchDoc) {
             fmt_ms(stage("build_table").median_ms),
             fmt_ms(stage("build_table").mad_ms),
             fmt_ms(stage("dbscan").median_ms),
-            fmt_ms(stage("disjoint_set").median_ms),
             fmt_ms(stage("modeled").median_ms),
             format!("{:.2}", counters.mean_occupancy),
             format!("{:.1}", counters.gmem_gbps),
@@ -743,7 +726,7 @@ mod tests {
             mad_ms: 0.0,
             ..StageStats::default()
         };
-        assert_eq!(noise_threshold("disjoint_set", &tiny), 0.25);
+        assert_eq!(noise_threshold("dbscan", &tiny), 0.25);
         // The deterministic modeled stage gets a much tighter band —
         // just wide enough for the writer's 3-decimal formatting.
         assert_eq!(noise_threshold("modeled", &quiet), 0.1);
@@ -837,7 +820,7 @@ mod tests {
                 }
                 continue;
             }
-            for stage in ["build_table", "dbscan", "disjoint_set", "modeled"] {
+            for stage in ["build_table", "dbscan", "modeled"] {
                 let s = wl
                     .stages
                     .get(stage)
@@ -851,7 +834,7 @@ mod tests {
             assert!(wl.metrics["result_pairs"] > 0.0);
         }
         let report = compare(&parsed, &doc);
-        assert!(report.checked >= 4 * SUITE.len() + crate::micro::MICRO_STAGES.len());
+        assert!(report.checked >= 3 * SUITE.len() + crate::micro::MICRO_STAGES.len());
         assert!(report.regressions().is_empty(), "{report:?}");
         assert!(report.incomparable.is_empty());
     }

@@ -18,7 +18,7 @@
 use crate::common::{baseline_refresh, DatasetCache, Options, TextTable};
 use crate::stats;
 use gpu_sim::Device;
-use hybrid_dbscan_core::disjoint_set::dbscan_disjoint_set;
+use hybrid_dbscan_core::dbscan::cluster_table;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan_core::shard::{ShardConfig, ShardMode, ShardedHybrid, ShardedTableHandle};
 use hybrid_dbscan_core::{clustering_fingerprint, table_fingerprint};
@@ -202,9 +202,8 @@ pub fn print(opts: &Options) -> i32 {
         .build_table(&points, EPS)
         .expect("unsharded build");
     let ref_table = table_fingerprint(&reference.table);
-    let ref_clusters = clustering_fingerprint(
-        &dbscan_disjoint_set(&reference.table, MINPTS).unpermute(&reference.perm),
-    );
+    let ref_clusters =
+        clustering_fingerprint(&HybridDbscan::cluster_with_table(&reference, MINPTS).0);
 
     let mut t = TextTable::new(&[
         "config", "modeled", "peak MiB", "halo pts", "table", "clusters",
@@ -231,9 +230,12 @@ pub fn print(opts: &Options) -> i32 {
     ] {
         let (handle, _) = sharded_build(&Device::k20c(), mode, k, &points);
         let table_fp = table_fingerprint(&handle.table);
-        let clusters_fp = clustering_fingerprint(
-            &dbscan_disjoint_set(&handle.table, MINPTS).unpermute(&handle.perm),
-        );
+        let clusters_fp = clustering_fingerprint(&cluster_table(
+            &handle.table,
+            &handle.perm,
+            &handle.visit_order,
+            MINPTS,
+        ));
         let table_ok = table_fp == ref_table;
         let clusters_ok = clusters_fp == ref_clusters;
         failed |= !(table_ok && clusters_ok);

@@ -20,7 +20,6 @@
 use crate::common::{baseline_refresh, fmt_secs, DatasetCache, Options, TextTable};
 use crate::table2;
 use gpu_sim::Device;
-use hybrid_dbscan_core::disjoint_set::dbscan_disjoint_set;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use obs::json::JsonWriter;
 use obs::ledger::{GateOutcome, LedgerEntry, LedgerRecord, StagePoint, RECORD_VERSION};
@@ -31,8 +30,10 @@ use std::time::Instant;
 /// schema header + provenance block and moved `modeled_time_bits` to the
 /// 16-hex-digit string encoding every other artifact uses (the JSON
 /// number space is f64 — a raw integer cannot carry all 64 bits).
+/// Version 3 dropped the disjoint-set clusterer's `disjoint_set_ms` and
+/// `speedup_disjoint_set` columns; [`check_doc`] still reads version 2.
 pub const SCHEMA: &str = "hybrid-dbscan/threads";
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// minpts for the clustering stages (the paper's S2 sweep midpoint).
 const MINPTS: usize = 4;
@@ -51,10 +52,8 @@ pub struct SweepRow {
     /// Median wall-clock seconds of `build_table` (GPU-phase simulation:
     /// kernels, device sort, table ingest — all on the pool).
     pub build_table_s: f64,
-    /// Median wall-clock seconds of the sequential host DBSCAN.
+    /// Median wall-clock seconds of the host DBSCAN over `T`.
     pub dbscan_s: f64,
-    /// Median wall-clock seconds of the parallel disjoint-set DBSCAN.
-    pub disjoint_set_s: f64,
     /// Modeled GPU-phase time (thread-count-invariant by policy).
     pub modeled_bits: u64,
     pub modeled_s: f64,
@@ -81,7 +80,7 @@ fn safe_speedup(base_s: f64, cur_s: f64) -> f64 {
 }
 
 /// One timed trial on an already-installed pool view: the full
-/// build_table / DBSCAN / disjoint-set chain, returning the wall times
+/// build_table / DBSCAN chain, returning the wall times
 /// and the functional outputs of this run.
 fn measure_trial(points: &[spatial::Point2], eps: f64, threads: usize) -> SweepRow {
     let device = Device::k20c();
@@ -95,20 +94,10 @@ fn measure_trial(points: &[spatial::Point2], eps: f64, threads: usize) -> SweepR
     let (clustering, _) = HybridDbscan::cluster_with_table(&handle, MINPTS);
     let dbscan_s = t1.elapsed().as_secs_f64();
 
-    let t2 = Instant::now();
-    let ds = dbscan_disjoint_set(&handle.table, MINPTS);
-    let ds_s = t2.elapsed().as_secs_f64();
-    assert_eq!(
-        clustering.num_clusters(),
-        ds.num_clusters(),
-        "sequential and disjoint-set DBSCAN disagree"
-    );
-
     SweepRow {
         threads,
         build_table_s: build_s,
         dbscan_s,
-        disjoint_set_s: ds_s,
         modeled_bits: handle.gpu.modeled_time.as_secs().to_bits(),
         modeled_s: handle.gpu.modeled_time.as_secs(),
         clusters: clustering.num_clusters() as usize,
@@ -178,7 +167,7 @@ fn measure_all(points: &[spatial::Point2], eps: f64, trials: usize) -> Vec<Sweep
         })
         .collect();
     let mut rows: Vec<Option<SweepRow>> = vec![None; counts.len()];
-    let mut samples: Vec<[Vec<f64>; 3]> = counts.iter().map(|_| Default::default()).collect();
+    let mut samples: Vec<[Vec<f64>; 2]> = counts.iter().map(|_| Default::default()).collect();
     for round in 0..trials.max(1) {
         // Rotate the starting count each round: the first pipeline of a
         // round pays one-off costs (cold allocator, page faults) that
@@ -189,7 +178,6 @@ fn measure_all(points: &[spatial::Point2], eps: f64, trials: usize) -> Vec<Sweep
             let trial = pool.install(|| measure_trial(points, eps, counts[i]));
             samples[i][0].push(trial.build_table_s);
             samples[i][1].push(trial.dbscan_s);
-            samples[i][2].push(trial.disjoint_set_s);
             match &rows[i] {
                 Some(acc) => assert_eq!(
                     acc.modeled_bits, trial.modeled_bits,
@@ -210,7 +198,6 @@ fn measure_all(points: &[spatial::Point2], eps: f64, trials: usize) -> Vec<Sweep
             // lets one throttled trial move a speedup column.
             row.build_table_s = median(&mut s[0]);
             row.dbscan_s = median(&mut s[1]);
-            row.disjoint_set_s = median(&mut s[2]);
             pool.install(|| profile_point(points, eps, &mut row));
             row
         })
@@ -289,16 +276,11 @@ fn render_json(
         w.field_uint("threads", r.threads as u64);
         w.field_float("build_table_ms", r.build_table_s * 1e3);
         w.field_float("dbscan_ms", r.dbscan_s * 1e3);
-        w.field_float("disjoint_set_ms", r.disjoint_set_s * 1e3);
         w.field_float(
             "speedup_build_table",
             safe_speedup(base.build_table_s, r.build_table_s),
         );
         w.field_float("speedup_dbscan", safe_speedup(base.dbscan_s, r.dbscan_s));
-        w.field_float(
-            "speedup_disjoint_set",
-            safe_speedup(base.disjoint_set_s, r.disjoint_set_s),
-        );
         w.field_float("serial_fraction_build", r.serial_fraction_build);
         w.field_float("worker_util_pct", r.worker_util_pct);
         w.field_uint("pool_steals", r.pool_steals);
@@ -311,6 +293,40 @@ fn render_json(
     w.end_array();
     w.end_object();
     w.finish()
+}
+
+/// Read back a `BENCH_threads.json` document (this version or version 2)
+/// as `(threads, modeled_time_bits)` per sweep point. Columns a version
+/// dropped are ignored.
+pub fn check_doc(text: &str) -> Result<Vec<(u64, u64)>, String> {
+    use obs::json::JsonValue;
+    let doc = obs::json::parse(text).map_err(|e| e.to_string())?;
+    if doc.get("schema").and_then(JsonValue::as_str) != Some(SCHEMA) {
+        return Err(format!("schema is not {SCHEMA}"));
+    }
+    let version = doc.get("version").and_then(JsonValue::as_u64);
+    if !version.is_some_and(|v| (2..=SCHEMA_VERSION).contains(&v)) {
+        return Err(format!(
+            "unsupported version {version:?} (supported: 2..={SCHEMA_VERSION})"
+        ));
+    }
+    let sweep = doc
+        .get("sweep")
+        .and_then(JsonValue::as_arr)
+        .ok_or("missing array 'sweep'")?;
+    sweep
+        .iter()
+        .map(|r| {
+            let threads = r.get("threads").and_then(JsonValue::as_u64);
+            let bits = r
+                .get("modeled_time_bits")
+                .and_then(JsonValue::as_str)
+                .and_then(|h| u64::from_str_radix(h, 16).ok());
+            threads
+                .zip(bits)
+                .ok_or_else(|| "malformed sweep row".to_string())
+        })
+        .collect()
 }
 
 /// Fold one sweep into a run-ledger record: one entry per thread count,
@@ -340,8 +356,6 @@ pub fn ledger_record(
             };
             e.stages.insert("build_table".into(), wall(r.build_table_s));
             e.stages.insert("dbscan".into(), wall(r.dbscan_s));
-            e.stages
-                .insert("disjoint_set".into(), wall(r.disjoint_set_s));
             e.stages.insert(
                 "modeled".into(),
                 StagePoint {
@@ -359,10 +373,6 @@ pub fn ledger_record(
             m.insert(
                 "speedup_dbscan".into(),
                 safe_speedup(base.dbscan_s, r.dbscan_s),
-            );
-            m.insert(
-                "speedup_disjoint_set".into(),
-                safe_speedup(base.disjoint_set_s, r.disjoint_set_s),
             );
             m.insert("serial_fraction_build".into(), r.serial_fraction_build);
             m.insert("worker_util_pct".into(), r.worker_util_pct);
@@ -400,8 +410,6 @@ pub fn print(opts: &Options) -> i32 {
         "util",
         "DBSCAN",
         "speedup",
-        "disjoint-set",
-        "speedup",
         "modeled GPU",
     ]);
     for r in &rows {
@@ -413,11 +421,6 @@ pub fn print(opts: &Options) -> i32 {
             format!("{:.0}%", r.worker_util_pct),
             fmt_secs(r.dbscan_s),
             format!("{:.2}x", safe_speedup(base.dbscan_s, r.dbscan_s)),
-            fmt_secs(r.disjoint_set_s),
-            format!(
-                "{:.2}x",
-                safe_speedup(base.disjoint_set_s, r.disjoint_set_s)
-            ),
             fmt_secs(r.modeled_s),
         ]);
     }
@@ -454,6 +457,11 @@ pub fn print(opts: &Options) -> i32 {
     ));
 
     let json = render_json(&dataset, eps, n_points, opts, &rows, &prov);
+    // Self-check: never ship a document its own reader rejects.
+    if let Err(e) = check_doc(&json) {
+        eprintln!("# threads: INTERNAL ERROR: emitted document does not parse: {e}");
+        return 1;
+    }
     let path = opts
         .csv_dir
         .clone()
@@ -584,7 +592,6 @@ mod tests {
                 threads: 1,
                 build_table_s: 1.0,
                 dbscan_s: 0.1,
-                disjoint_set_s: 0.2,
                 modeled_bits: u64::MAX, // largest bit pattern must survive
                 modeled_s: 0.05,
                 clusters: 7,
@@ -597,7 +604,6 @@ mod tests {
                 threads: 4,
                 build_table_s: 0.5,
                 dbscan_s: 0.1,
-                disjoint_set_s: 0.1,
                 modeled_bits: u64::MAX,
                 modeled_s: 0.05,
                 clusters: 7,
@@ -609,7 +615,12 @@ mod tests {
         ];
         let opts = Options::default();
         let prov = test_provenance();
-        let doc = parse(&render_json("SW1", 0.2, 1000, &opts, &rows, &prov)).expect("valid JSON");
+        let text = render_json("SW1", 0.2, 1000, &opts, &rows, &prov);
+        assert_eq!(
+            check_doc(&text).expect("own reader accepts it"),
+            vec![(1, u64::MAX), (4, u64::MAX)]
+        );
+        let doc = parse(&text).expect("valid JSON");
         assert_eq!(doc.get("schema").and_then(JsonValue::as_str), Some(SCHEMA));
         assert_eq!(
             doc.get("version").and_then(JsonValue::as_u64),
@@ -653,13 +664,25 @@ mod tests {
     }
 
     #[test]
+    fn version_2_document_still_parses() {
+        // A version-2 document as committed before the disjoint-set
+        // clusterer was retired: it still carries that clusterer's columns.
+        let v2 = r#"{"schema":"hybrid-dbscan/threads","version":2,"workload":{"dataset":"SW1","eps":0.200,"scale":0.020,"points":37292,"minpts":4,"trials":3},"host_threads":1,"bitwise_identical":true,"sweep":[{"threads":1,"build_table_ms":1174.312,"dbscan_ms":45.218,"disjoint_set_ms":88.020,"speedup_build_table":1.000,"speedup_dbscan":1.000,"speedup_disjoint_set":1.000,"modeled_time_ms":96.558,"modeled_time_bits":"3fb8b80b383bd8dc","clusters":64,"result_pairs":17113506},{"threads":2,"build_table_ms":1018.171,"dbscan_ms":33.799,"disjoint_set_ms":90.389,"speedup_build_table":1.153,"speedup_dbscan":1.338,"speedup_disjoint_set":0.974,"modeled_time_ms":96.558,"modeled_time_bits":"3fb8b80b383bd8dc","clusters":64,"result_pairs":17113506}]}"#;
+        assert_eq!(
+            check_doc(v2).expect("version 2 parses"),
+            vec![(1, 0x3fb8_b80b_383b_d8dc), (2, 0x3fb8_b80b_383b_d8dc)]
+        );
+        let v1 = v2.replacen(r#""version":2"#, r#""version":1"#, 1);
+        assert!(check_doc(&v1).unwrap_err().contains("version"));
+    }
+
+    #[test]
     fn sweep_ledger_record_round_trips_and_keys_by_thread_count() {
         let rows = vec![
             SweepRow {
                 threads: 1,
                 build_table_s: 1.0,
                 dbscan_s: 0.1,
-                disjoint_set_s: 0.2,
                 modeled_bits: 0x3fe0_0000_0000_0001,
                 modeled_s: 0.5,
                 clusters: 7,
@@ -672,7 +695,6 @@ mod tests {
                 threads: 4,
                 build_table_s: 0.4,
                 dbscan_s: 0.1,
-                disjoint_set_s: 0.1,
                 modeled_bits: 0x3fe0_0000_0000_0001,
                 modeled_s: 0.5,
                 clusters: 7,

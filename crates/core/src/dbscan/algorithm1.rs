@@ -56,7 +56,7 @@ pub fn dbscan_algorithm1<S: NeighborSource + ?Sized>(
     let mut noise_set: HashSet<u32> = HashSet::new();
     let mut clusters: Vec<Vec<u32>> = Vec::new();
 
-    let mut neighbors: Vec<u32> = Vec::new();
+    let mut scratch: Vec<u32> = Vec::new();
 
     // Line 6: for all p ∈ D | p ∉ visitedSet.
     for p in 0..n as u32 {
@@ -68,8 +68,7 @@ pub fn dbscan_algorithm1<S: NeighborSource + ?Sized>(
         // Line 8: visitedSet ← visitedSet ∪ {p}.
         visited_set.insert(p);
         // Line 9: N ← NeighborSearch(p, ε, I).
-        neighbors.clear();
-        source.neighbors_of(p, &mut neighbors);
+        let neighbors = source.neighbors(p, &mut scratch);
         // Line 10: if |N| < minpts then noiseSet ← noiseSet ∪ {p}.
         if neighbors.len() < minpts {
             noise_set.insert(p);
@@ -81,7 +80,7 @@ pub fn dbscan_algorithm1<S: NeighborSource + ?Sized>(
 
         // Line 14: for all i ∈ N (with line 15's N ← N \ i expressed as a
         // work-list cursor; the set keeps growing at line 20).
-        let mut work: Vec<u32> = neighbors.clone();
+        let mut work: Vec<u32> = neighbors.to_vec();
         let mut cursor = 0;
         while cursor < work.len() {
             let i = work[cursor];
@@ -91,11 +90,10 @@ pub fn dbscan_algorithm1<S: NeighborSource + ?Sized>(
                 // Line 17: visitedSet ← visitedSet ∪ {i}.
                 visited_set.insert(i);
                 // Line 18: N̂ ← NeighborSearch(i, ε, I).
-                neighbors.clear();
-                source.neighbors_of(i, &mut neighbors);
+                let n_hat = source.neighbors(i, &mut scratch);
                 // Lines 19-20: if |N̂| ≥ minpts then N ← N ∪ N̂.
-                if neighbors.len() >= minpts {
-                    work.extend_from_slice(&neighbors);
+                if n_hat.len() >= minpts {
+                    work.extend_from_slice(n_hat);
                 }
             }
             // Lines 21-23: if i ∉ clusterSet, add it to the cluster.

@@ -17,15 +17,24 @@ pub use algorithm1::{dbscan_algorithm1, Algorithm1Output};
 pub use clustering::{Clustering, PointLabel};
 pub use sources::{GridSource, KdTreeSource, NeighborSource, RTreeSource, TableSource};
 
+use crate::table::NeighborTable;
+
 /// The DBSCAN clustering engine.
 ///
-/// `Dbscan` is a thin, allocation-reusing wrapper around Algorithm 1:
-/// points are visited in id order; each unvisited point's ε-neighborhood
-/// is fetched from the source; core points (≥ `minpts` neighbors,
-/// *including the point itself*, per Ester et al.) seed a cluster that is
-/// expanded transitively through directly density-reachable core points.
-/// Border points join the first cluster that reaches them; unreachable
-/// points are noise.
+/// `Dbscan` is an allocation-reusing form of Algorithm 1: points are
+/// visited in id order (or a caller's order); each unvisited point's
+/// ε-neighborhood is fetched from the source; core points (≥ `minpts`
+/// neighbors, *including the point itself*, per Ester et al.) open a
+/// cluster that is expanded breadth-first through directly
+/// density-reachable core points. Border points join the first cluster
+/// that reaches them; unreachable points are noise.
+///
+/// A point is labeled when it is *queued*, not when it is dequeued, so
+/// it enters the expansion queue at most once: the queue holds at most
+/// `n` ids for the whole run, and every point's neighborhood is fetched
+/// exactly once. Neighborhoods are borrowed from the source
+/// ([`NeighborSource::neighbors`]); over the table `T` nothing is
+/// copied.
 pub struct Dbscan {
     minpts: usize,
 }
@@ -70,17 +79,17 @@ impl Dbscan {
         let mut labels = vec![PointLabel::UNVISITED; n];
         let mut n_clusters = 0u32;
 
-        // Reused buffers: the per-point neighborhood and the BFS seed list.
-        let mut neighbors: Vec<u32> = Vec::new();
-        let mut seeds: Vec<u32> = Vec::new();
+        // Reused buffers: an index source's query answer, and the BFS
+        // queue (each point is pushed at most once, so len ≤ n).
+        let mut scratch: Vec<u32> = Vec::new();
+        let mut queue: Vec<u32> = Vec::new();
 
         for visit_idx in 0..n as u32 {
             let p = order.map_or(visit_idx, |o| o[visit_idx as usize]);
             if labels[p as usize] != PointLabel::UNVISITED {
                 continue;
             }
-            neighbors.clear();
-            source.neighbors_of(p, &mut neighbors);
+            let neighbors = source.neighbors(p, &mut scratch);
             if neighbors.len() < self.minpts {
                 labels[p as usize] = PointLabel::NOISE;
                 continue;
@@ -90,36 +99,58 @@ impl Dbscan {
             let cluster = PointLabel::cluster(n_clusters);
             n_clusters += 1;
             labels[p as usize] = cluster;
+            queue.clear();
+            claim(neighbors, cluster, &mut labels, &mut queue);
 
-            seeds.clear();
-            seeds.extend_from_slice(&neighbors);
             let mut cursor = 0;
-            while cursor < seeds.len() {
-                let q = seeds[cursor];
+            while cursor < queue.len() {
+                let q = queue[cursor];
                 cursor += 1;
-                let lbl = labels[q as usize];
-                if lbl == PointLabel::UNVISITED {
-                    // First visit: fetch q's neighborhood to test coreness.
-                    neighbors.clear();
-                    source.neighbors_of(q, &mut neighbors);
-                    labels[q as usize] = cluster;
-                    if neighbors.len() >= self.minpts {
-                        // Directly density-reachable core point: its
-                        // neighborhood extends the cluster.
-                        seeds.extend_from_slice(&neighbors);
-                    }
-                } else if lbl == PointLabel::NOISE {
-                    // Previously judged noise, now reached by a core
-                    // point: it becomes a border point of this cluster.
-                    labels[q as usize] = cluster;
+                let neighbors = source.neighbors(q, &mut scratch);
+                if neighbors.len() >= self.minpts {
+                    // Directly density-reachable core point: its
+                    // neighborhood extends the cluster.
+                    claim(neighbors, cluster, &mut labels, &mut queue);
                 }
-                // Already-clustered points keep their assignment (border
-                // points belong to the first cluster that claimed them).
             }
         }
 
         Clustering::new(labels, n_clusters)
     }
+}
+
+/// Scan a core point's neighborhood: unvisited points join `cluster` and
+/// are queued for their own coreness test; points judged noise earlier
+/// become border points of `cluster` (their neighborhood was already
+/// fetched and is too small, so they are not queued); clustered points
+/// keep their label, so a border point stays in the first cluster that
+/// claimed it.
+fn claim(neighbors: &[u32], cluster: PointLabel, labels: &mut [PointLabel], queue: &mut Vec<u32>) {
+    for &q in neighbors {
+        let lbl = &mut labels[q as usize];
+        if *lbl == PointLabel::UNVISITED {
+            *lbl = cluster;
+            queue.push(q);
+        } else if *lbl == PointLabel::NOISE {
+            *lbl = cluster;
+        }
+    }
+}
+
+/// Cluster a table `T` kept in sorted-id space and return the labels in
+/// the caller's point order: visit points in `visit_order` (sorted-space
+/// ids in ascending original id) and map the labels back through `perm`
+/// (`perm[k]` = original index of sorted position `k`). The result is
+/// identical to the reference implementation's labels.
+pub fn cluster_table(
+    table: &NeighborTable,
+    perm: &[u32],
+    visit_order: &[u32],
+    minpts: usize,
+) -> Clustering {
+    Dbscan::new(minpts)
+        .run_with_order(&TableSource::new(table), Some(visit_order))
+        .unpermute(perm)
 }
 
 #[cfg(test)]
@@ -222,6 +253,14 @@ mod tests {
         // belongs to A's cluster.
         assert_eq!(c.labels()[5], c.labels()[0]);
         assert_ne!(c.labels()[5], c.labels()[6]);
+
+        // Visiting in reverse opens B's cluster first, so B claims it.
+        let reversed: Vec<u32> = (0..data.len() as u32).rev().collect();
+        let r = Dbscan::new(5).run_with_order(&GridSource::new(&grid, &data), Some(&reversed));
+        assert_eq!(r.num_clusters(), 2);
+        assert_eq!(r.labels()[5], r.labels()[6]);
+        assert_ne!(r.labels()[5], r.labels()[0]);
+        assert_eq!(r.labels()[6], PointLabel::cluster(0), "B opens first");
     }
 
     #[test]

@@ -6,13 +6,15 @@ use spatial::{GridIndex, KdTree, Point2, RTree};
 
 /// Supplies the ε-neighborhood of each point by id.
 ///
-/// Implementations must be consistent: `neighbors_of(p)` contains `p`
+/// Implementations must be consistent: `neighbors(p, ..)` contains `p`
 /// itself (distance 0 ≤ ε) and exactly the ids within the closed ε-ball.
 /// Order is unspecified; DBSCAN's cluster memberships do not depend on it.
 pub trait NeighborSource: Sync {
-    /// Append the ids of every point within ε of point `id` to `out`
-    /// (which the caller has cleared).
-    fn neighbors_of(&self, id: u32, out: &mut Vec<u32>);
+    /// The ids of every point within ε of point `id`. A source that
+    /// stores neighborhoods (the table `T`) returns its own slice and
+    /// leaves `scratch` alone; an index source clears `scratch`, fills
+    /// it with the query's answer, and returns it.
+    fn neighbors<'a>(&'a self, id: u32, scratch: &'a mut Vec<u32>) -> &'a [u32];
 
     /// Total number of points in the database.
     fn num_points(&self) -> usize;
@@ -31,9 +33,11 @@ impl<'a> GridSource<'a> {
 }
 
 impl NeighborSource for GridSource<'_> {
-    fn neighbors_of(&self, id: u32, out: &mut Vec<u32>) {
+    fn neighbors<'a>(&'a self, id: u32, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        scratch.clear();
         self.grid
-            .query_visit(self.data, &self.data[id as usize], |n| out.push(n));
+            .query_visit(self.data, &self.data[id as usize], |n| scratch.push(n));
+        scratch
     }
 
     fn num_points(&self) -> usize {
@@ -57,9 +61,11 @@ impl<'a> RTreeSource<'a> {
 }
 
 impl NeighborSource for RTreeSource<'_> {
-    fn neighbors_of(&self, id: u32, out: &mut Vec<u32>) {
+    fn neighbors<'a>(&'a self, id: u32, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        scratch.clear();
         self.tree
-            .query_eps_visit(&self.data[id as usize], self.eps, |n, _| out.push(n));
+            .query_eps_visit(&self.data[id as usize], self.eps, |n, _| scratch.push(n));
+        scratch
     }
 
     fn num_points(&self) -> usize {
@@ -81,9 +87,11 @@ impl<'a> KdTreeSource<'a> {
 }
 
 impl NeighborSource for KdTreeSource<'_> {
-    fn neighbors_of(&self, id: u32, out: &mut Vec<u32>) {
+    fn neighbors<'a>(&'a self, id: u32, scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        scratch.clear();
         self.tree
-            .query_eps_visit(&self.data[id as usize], self.eps, |n| out.push(n));
+            .query_eps_visit(&self.data[id as usize], self.eps, |n| scratch.push(n));
+        scratch
     }
 
     fn num_points(&self) -> usize {
@@ -92,7 +100,8 @@ impl NeighborSource for KdTreeSource<'_> {
 }
 
 /// Neighbor source backed by the precomputed neighbor table `T` — the
-/// Hybrid-DBSCAN fast path: a lookup instead of an index search.
+/// Hybrid-DBSCAN fast path: a borrowed slice of `T` instead of an index
+/// search, with nothing copied.
 pub struct TableSource<'a> {
     table: &'a NeighborTable,
 }
@@ -104,8 +113,8 @@ impl<'a> TableSource<'a> {
 }
 
 impl NeighborSource for TableSource<'_> {
-    fn neighbors_of(&self, id: u32, out: &mut Vec<u32>) {
-        out.extend_from_slice(self.table.neighbors(id));
+    fn neighbors<'a>(&'a self, id: u32, _scratch: &'a mut Vec<u32>) -> &'a [u32] {
+        self.table.neighbors(id)
     }
 
     fn num_points(&self) -> usize {
@@ -151,9 +160,9 @@ mod tests {
                 ("rtree", &rs),
                 ("kdtree", &ks),
             ] {
-                let mut out = Vec::new();
-                src.neighbors_of(id, &mut out);
-                assert_eq!(sorted(out), expected, "{name} disagrees at id {id}");
+                let mut scratch = Vec::new();
+                let got = src.neighbors(id, &mut scratch).to_vec();
+                assert_eq!(sorted(got), expected, "{name} disagrees at id {id}");
             }
         }
     }
@@ -173,10 +182,9 @@ mod tests {
         let grid = GridIndex::build(&data, 0.5);
         let gs = GridSource::new(&grid, &data);
         for id in [0u32, 17, 59] {
-            let mut out = Vec::new();
-            gs.neighbors_of(id, &mut out);
+            let mut scratch = Vec::new();
             assert!(
-                out.contains(&id),
+                gs.neighbors(id, &mut scratch).contains(&id),
                 "point {id} missing from its own neighborhood"
             );
         }

@@ -42,7 +42,7 @@
 
 use crate::backend::{select_backend, BackendDecision, ChosenBackend, IndexBackend};
 use crate::batch::{BatchConfig, BatchPlan};
-use crate::dbscan::{Clustering, Dbscan, TableSource};
+use crate::dbscan::{cluster_table, Clustering};
 use crate::eps_index::{EpsPoint, GridBatch};
 use crate::kernels::{GpuCalcTree, NeighborPair, TreeCountKernel};
 use crate::table::{NeighborTable, NeighborTableBuilder};
@@ -424,10 +424,8 @@ impl HybridDbscan {
     /// reference implementation's — not merely equivalent.
     pub fn cluster_with_table(handle: &TableHandle, minpts: usize) -> (Clustering, SimDuration) {
         let t0 = Instant::now();
-        let clustering = Dbscan::new(minpts)
-            .run_with_order(&TableSource::new(&handle.table), Some(&handle.visit_order));
-        let dbscan_time: SimDuration = t0.elapsed().into();
-        (clustering.unpermute(&handle.perm), dbscan_time)
+        let clustering = cluster_table(&handle.table, &handle.perm, &handle.visit_order, minpts);
+        (clustering, t0.elapsed().into())
     }
 
     /// Construct the neighbor table `T` for `data` at `eps` (lines 2-8 of
@@ -1175,7 +1173,7 @@ impl HybridDbscan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dbscan::GridSource;
+    use crate::dbscan::{Dbscan, GridSource};
     use crate::kernels::test_support::mixed_points;
     use crate::shard::{clustering_fingerprint, table_fingerprint};
     use spatial::nd::brute_force_neighbors_nd;

@@ -31,9 +31,6 @@
 //!
 //! * [`optics`] — OPTICS and its ε'-cut extraction, the technique the
 //!   paper positions S3 against.
-//! * [`disjoint_set`] — a lock-free union-find DBSCAN that parallelizes a
-//!   *single* clustering over the GPU-built table (after Patwary et al.,
-//!   the paper's reference [9]).
 //! * [`gdbscan`] — G-DBSCAN (Andrade et al., the paper's reference [6]):
 //!   the "cluster entirely on the GPU" competitor family, for head-to-head
 //!   comparison with the hybrid approach.
@@ -56,7 +53,6 @@ pub mod backend;
 pub mod batch;
 pub mod cuda_dclust;
 pub mod dbscan;
-pub mod disjoint_set;
 mod eps_index;
 pub mod gdbscan;
 pub mod hybrid;

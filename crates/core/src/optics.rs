@@ -98,7 +98,7 @@ pub fn optics<S: NeighborSource + ?Sized>(
     let mut reachability = vec![f64::INFINITY; n];
     let mut core_distance = vec![f64::INFINITY; n];
     let mut order: Vec<OrderedPoint> = Vec::with_capacity(n);
-    let mut neighbors: Vec<u32> = Vec::new();
+    let mut scratch: Vec<u32> = Vec::new();
     let mut dists: Vec<f64> = Vec::new();
 
     // Core distance: the minpts-th smallest distance within the
@@ -125,9 +125,8 @@ pub fn optics<S: NeighborSource + ?Sized>(
             continue;
         }
         processed[start as usize] = true;
-        neighbors.clear();
-        source.neighbors_of(start, &mut neighbors);
-        let cd = compute_core(start, &neighbors, &mut dists, data);
+        let neighbors = source.neighbors(start, &mut scratch);
+        let cd = compute_core(start, neighbors, &mut dists, data);
         core_distance[start as usize] = cd;
         order.push(OrderedPoint {
             id: start,
@@ -138,7 +137,7 @@ pub fn optics<S: NeighborSource + ?Sized>(
         if cd.is_finite() {
             update_seeds(
                 start,
-                &neighbors,
+                neighbors,
                 data,
                 cd,
                 &processed,
@@ -164,9 +163,8 @@ pub fn optics<S: NeighborSource + ?Sized>(
                 continue;
             }
             processed[q as usize] = true;
-            neighbors.clear();
-            source.neighbors_of(q, &mut neighbors);
-            let cdq = compute_core(q, &neighbors, &mut dists, data);
+            let neighbors = source.neighbors(q, &mut scratch);
+            let cdq = compute_core(q, neighbors, &mut dists, data);
             core_distance[q as usize] = cdq;
             order.push(OrderedPoint {
                 id: q,
@@ -176,7 +174,7 @@ pub fn optics<S: NeighborSource + ?Sized>(
             if cdq.is_finite() {
                 update_seeds(
                     q,
-                    &neighbors,
+                    neighbors,
                     data,
                     cdq,
                     &processed,

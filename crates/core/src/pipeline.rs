@@ -18,8 +18,8 @@
 //! timings then depend on the benchmark host's core count. On a
 //! single-thread pool concurrent mode degrades to the serial pass.
 
+use crate::dbscan::cluster_table;
 use crate::dbscan::Clustering;
-use crate::disjoint_set::dbscan_disjoint_set;
 use crate::hybrid::{HybridConfig, HybridDbscan, HybridError};
 use crate::scenario::Variant;
 use crate::shard::{ShardConfig, ShardedHybrid};
@@ -183,9 +183,9 @@ impl MultiClusterPipeline {
     /// The serial pass with a **sharded** producer (DESIGN.md §14): each
     /// variant's table comes from [`ShardedHybrid::build_table`] — k
     /// devices concurrently or out-of-core tiling, per `shard_cfg` — and
-    /// the consumer stage is the concurrent disjoint-set pass over the
-    /// merged table. The merged rows are bitwise identical to the
-    /// unsharded build's, so cluster counts match [`Self::run`] exactly;
+    /// the consumer stage is the DBSCAN engine over the merged table. The
+    /// merged rows are bitwise identical to the unsharded build's, so the
+    /// clusterings match [`Self::run`] exactly;
     /// `gpu_phase` is the sharded modeled time (max over shards when
     /// concurrent, sum when out-of-core).
     pub fn run_sharded(
@@ -219,7 +219,8 @@ impl MultiClusterPipeline {
                 s
             });
             let t0 = Instant::now();
-            let clustering = dbscan_disjoint_set(&handle.table, v.minpts).unpermute(&handle.perm);
+            let clustering =
+                cluster_table(&handle.table, &handle.perm, &handle.visit_order, v.minpts);
             let dbscan_time: SimDuration = t0.elapsed().into();
             drop(consume_span);
             per_variant.push(VariantTiming {

@@ -16,7 +16,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Wraps a neighbor source, accumulating the wall time spent inside
-/// `neighbors_of` — the `NeighborSearch` calls of Algorithm 1.
+/// `neighbors` — the `NeighborSearch` calls of Algorithm 1.
 pub struct TimedSource<S> {
     inner: S,
     nanos: AtomicU64,
@@ -44,12 +44,13 @@ impl<S: NeighborSource> TimedSource<S> {
 }
 
 impl<S: NeighborSource> NeighborSource for TimedSource<S> {
-    fn neighbors_of(&self, id: u32, out: &mut Vec<u32>) {
+    fn neighbors<'a>(&'a self, id: u32, scratch: &'a mut Vec<u32>) -> &'a [u32] {
         let t0 = Instant::now();
-        self.inner.neighbors_of(id, out);
+        let out = self.inner.neighbors(id, scratch);
         self.nanos
             .fetch_add(t0.elapsed().as_nanos() as u64, Ordering::Relaxed);
         self.queries.fetch_add(1, Ordering::Relaxed);
+        out
     }
 
     fn num_points(&self) -> usize {
@@ -195,9 +196,9 @@ mod tests {
         let data = mixed_points(100);
         let grid = GridIndex::build(&data, 1.0);
         let src = TimedSource::new(GridSource::new(&grid, &data));
-        let mut out = Vec::new();
-        src.neighbors_of(0, &mut out);
-        src.neighbors_of(1, &mut out);
+        let mut scratch = Vec::new();
+        src.neighbors(0, &mut scratch);
+        src.neighbors(1, &mut scratch);
         assert_eq!(src.queries(), 2);
     }
 }

@@ -7,10 +7,10 @@
 //! the ε-halo, so every owned point's ε-neighborhood is complete — and
 //! merges the per-shard tables into one global [`NeighborTable`] whose
 //! rows are **bitwise identical** to the unsharded build's. Clustering
-//! then runs a single concurrent disjoint-set pass over the merged table;
-//! cross-shard edges are exactly the halo columns of owned rows, so the
-//! union-find stitches boundary clusters without any dedicated message
-//! passing.
+//! then runs the DBSCAN engine once over the merged table; cross-shard
+//! edges are exactly the halo columns of owned rows, so the expansion
+//! crosses shard boundaries without any dedicated message passing, and
+//! the labels equal the unsharded run's.
 //!
 //! ## Why the merge is exact
 //!
@@ -42,7 +42,7 @@
 //! bits — is identical at every thread count, and `k = 1` degenerates to
 //! the unsharded build exactly.
 
-use crate::disjoint_set::dbscan_disjoint_set;
+use crate::dbscan::cluster_table;
 use crate::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
 use crate::table::NeighborTable;
 use crate::Clustering;
@@ -127,9 +127,9 @@ pub struct ShardedTableHandle {
 
 /// The output of [`ShardedHybrid::run`].
 pub struct ShardedResult {
-    /// Cluster labels in the caller's point order, from the concurrent
-    /// disjoint-set pass over the merged table — a pure function of
-    /// `(table rows, minpts)`, identical at every `(k, thread count)`.
+    /// Cluster labels in the caller's point order, from the DBSCAN engine
+    /// over the merged table — a pure function of `(table rows, minpts)`,
+    /// identical to the unsharded run at every `(k, thread count)`.
     pub clustering: Clustering,
     /// Combined modeled GPU-phase time.
     pub modeled_time: SimDuration,
@@ -362,8 +362,9 @@ impl ShardedHybrid {
         })
     }
 
-    /// Build the merged table and cluster it with the concurrent
-    /// disjoint-set pass. Labels come back in the caller's point order.
+    /// Build the merged table and cluster it with the DBSCAN engine.
+    /// Labels come back in the caller's point order, identical to
+    /// [`crate::hybrid::HybridDbscan::run`]'s.
     pub fn run(
         &self,
         data: &[Point2],
@@ -372,7 +373,7 @@ impl ShardedHybrid {
     ) -> Result<ShardedResult, HybridError> {
         let handle = self.build_table(data, eps)?;
         let t0 = Instant::now();
-        let clustering = dbscan_disjoint_set(&handle.table, minpts).unpermute(&handle.perm);
+        let clustering = cluster_table(&handle.table, &handle.perm, &handle.visit_order, minpts);
         let dbscan_time: SimDuration = t0.elapsed().into();
         Ok(ShardedResult {
             clustering,
@@ -489,11 +490,13 @@ mod tests {
     }
 
     #[test]
-    fn sharded_clustering_matches_disjoint_set_on_unsharded_table() {
+    fn sharded_run_matches_unsharded_run() {
         let data = mixed_points(400);
         let device = Device::k20c();
-        let reference = unsharded_table(&device, &data, 0.7);
-        let expected = dbscan_disjoint_set(&reference.table, 4).unpermute(&reference.perm);
+        let expected = HybridDbscan::new(&device, HybridConfig::default())
+            .run(&data, 0.7, 4)
+            .unwrap()
+            .clustering;
         let cfg = ShardConfig {
             shards: 3,
             mode: ShardMode::Concurrent,
@@ -668,8 +671,8 @@ mod tests {
         let a = unsharded_table(&device, &data, 0.5);
         let b = unsharded_table(&device, &data, 0.55);
         assert_ne!(table_fingerprint(&a.table), table_fingerprint(&b.table));
-        let ca = dbscan_disjoint_set(&a.table, 4);
-        let cb = dbscan_disjoint_set(&a.table, 40);
+        let ca = cluster_table(&a.table, &a.perm, &a.visit_order, 4);
+        let cb = cluster_table(&a.table, &a.perm, &a.visit_order, 40);
         assert_ne!(clustering_fingerprint(&ca), clustering_fingerprint(&cb));
     }
 

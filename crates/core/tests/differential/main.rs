@@ -26,6 +26,9 @@
 //!   8 threads and asserts schedule independence (exact labels where the
 //!   implementation guarantees it, oracle-level equivalence for
 //!   CUDA-DClust's scheduling-dependent border attribution).
+//! * [`engine`] holds the DBSCAN engine to the literal Algorithm 1
+//!   transcription label for label over table, grid and R-tree sources,
+//!   and the table path to the R-tree reference's exact labels.
 //! * [`sharded`] holds the sharded pipeline to bitwise table and
 //!   clustering equality with the unsharded build at k ∈ {1, 2, 4} and
 //!   1/2/8 threads in both execution modes, including a halo-straddling
@@ -35,6 +38,7 @@
 //! `oracle::shrink_case` before being reported (the offline proptest
 //! stand-in does not shrink).
 
+mod engine;
 mod generators;
 mod grid_layouts;
 mod harness;

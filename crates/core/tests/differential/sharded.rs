@@ -1,17 +1,16 @@
-//! Sharded-vs-unsharded differential tier (ISSUE 8, DESIGN.md §14).
+//! Sharded-vs-unsharded differential tier (DESIGN.md §14).
 //!
 //! The sharded pipeline promises the strongest equivalence in the
 //! repository: not merely the same clusters, but the *same neighbor-table
-//! rows, bitwise*, at every shard count, in both execution modes, on any
-//! rayon pool — and per-shard modeled-time bits that do not move with the
-//! thread count. These tests hold it to that promise over every generator
+//! rows, bitwise*, and the *same labels* as [`HybridDbscan::run`], at
+//! every shard count, in both execution modes, on any rayon pool — and
+//! per-shard modeled-time bits that do not move with the thread count. These tests hold it to that promise over every generator
 //! family plus a dedicated halo-straddling adversarial generator that
 //! plants exact-ε pairs across the x-quantile boundaries the planner will
 //! choose.
 
 use crate::generators::{Case, FAMILIES, Q};
 use gpu_sim::Device;
-use hybrid_dbscan_core::disjoint_set::dbscan_disjoint_set;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan_core::shard::{ShardConfig, ShardMode, ShardedHybrid};
 use hybrid_dbscan_core::{clustering_fingerprint, table_fingerprint};
@@ -44,10 +43,16 @@ fn observe(threads: usize, case: &Case, k: usize, mode: ShardMode) -> Observed {
         let handle = sharded
             .build_table(&case.data, case.eps)
             .unwrap_or_else(|e| panic!("sharded build failed on {}: {e:?}", case.family));
-        let clustering = dbscan_disjoint_set(&handle.table, case.minpts).unpermute(&handle.perm);
+        let run = sharded
+            .run(&case.data, case.eps, case.minpts)
+            .unwrap_or_else(|e| panic!("sharded run failed on {}: {e:?}", case.family));
+        assert_eq!(
+            run.modeled_time.as_millis().to_bits(),
+            handle.modeled_time.as_millis().to_bits()
+        );
         Observed {
             table_print: table_fingerprint(&handle.table),
-            cluster_print: clustering_fingerprint(&clustering),
+            cluster_print: clustering_fingerprint(&run.clustering),
             modeled_bits: handle.modeled_time.as_millis().to_bits(),
             shard_modeled_bits: handle
                 .shards
@@ -58,15 +63,20 @@ fn observe(threads: usize, case: &Case, k: usize, mode: ShardMode) -> Observed {
     })
 }
 
+/// Table print of the unsharded build and label print of
+/// `HybridDbscan::run`, the pair every sharded observation must match.
 fn reference_prints(case: &Case) -> (u64, u64) {
     let device = Device::k20c();
-    let handle = HybridDbscan::new(&device, HybridConfig::default())
+    let hybrid = HybridDbscan::new(&device, HybridConfig::default());
+    let handle = hybrid
         .build_table(&case.data, case.eps)
         .unwrap_or_else(|e| panic!("unsharded build failed on {}: {e:?}", case.family));
-    let clustering = dbscan_disjoint_set(&handle.table, case.minpts).unpermute(&handle.perm);
+    let run = hybrid
+        .run(&case.data, case.eps, case.minpts)
+        .unwrap_or_else(|e| panic!("unsharded run failed on {}: {e:?}", case.family));
     (
         table_fingerprint(&handle.table),
-        clustering_fingerprint(&clustering),
+        clustering_fingerprint(&run.clustering),
     )
 }
 
@@ -83,7 +93,7 @@ fn assert_sharded_equivalence(case: &Case) {
             );
             assert_eq!(
                 base.cluster_print, cluster_print,
-                "family `{}`: sharded clustering differs at k={k} {mode:?}",
+                "family `{}`: ShardedHybrid::run labels differ from HybridDbscan::run at k={k} {mode:?}",
                 case.family
             );
             for &threads in &THREADS[1..] {

@@ -1,7 +1,7 @@
 //! Thread-count equivalence (the determinism policy's acceptance test).
 //!
 //! For random point sets, `HybridDbscan::build_table` +
-//! `cluster_with_table` + `dbscan_disjoint_set` must produce **bitwise
+//! `cluster_with_table` must produce **bitwise
 //! identical** results on pools of 1, 2, and 8 threads: same neighbor
 //! table, same clusterings, same modeled `SimDuration`s (compared via
 //! `f64::to_bits`), same batch structure. Wall-clock fields are the only
@@ -13,7 +13,6 @@
 
 use gpu_sim::device::Device;
 use hybrid_dbscan_core::backend::IndexBackend;
-use hybrid_dbscan_core::disjoint_set::dbscan_disjoint_set;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
 use proptest::prelude::*;
 use spatial::{Point2, PointN};
@@ -25,10 +24,8 @@ struct RunFingerprint {
     table_entries: usize,
     /// Flattened (id, neighbors) pairs — the full table contents.
     neighborhoods: Vec<(u32, Vec<u32>)>,
-    /// Sequential (visit-order) clustering labels.
+    /// Clustering labels (caller order).
     labels: Vec<i64>,
-    /// Parallel disjoint-set clustering labels.
-    ds_labels: Vec<i64>,
     /// Modeled GPU-phase time, bit-exact.
     modeled_time_bits: u64,
     result_pairs: usize,
@@ -70,7 +67,6 @@ fn fingerprint_at(
         let hybrid = HybridDbscan::new(&device, *cfg);
         let handle = build(&hybrid).expect("build_table");
         let (clustering, _dbscan_time) = HybridDbscan::cluster_with_table(&handle, minpts);
-        let ds = dbscan_disjoint_set(&handle.table, minpts);
         let to_i64 = |c: &hybrid_dbscan_core::dbscan::Clustering| {
             c.labels()
                 .iter()
@@ -84,7 +80,6 @@ fn fingerprint_at(
                 .map(|i| (i, handle.table.neighbors(i).to_vec()))
                 .collect(),
             labels: to_i64(&clustering),
-            ds_labels: to_i64(&ds),
             modeled_time_bits: handle.gpu.modeled_time.as_secs().to_bits(),
             result_pairs: handle.gpu.result_pairs,
             n_batches: handle.gpu.n_batches,
@@ -231,7 +226,6 @@ proptest! {
         let grid = run_at(1, &data, eps, minpts);
         prop_assert_eq!(&base.neighborhoods, &grid.neighborhoods);
         prop_assert_eq!(&base.labels, &grid.labels);
-        prop_assert_eq!(&base.ds_labels, &grid.ds_labels);
         prop_assert_eq!(base.result_pairs, grid.result_pairs);
         prop_assert_eq!(base.n_batches, grid.n_batches);
         prop_assert_eq!(&base.per_batch_pairs, &grid.per_batch_pairs);

@@ -288,11 +288,11 @@ pub fn analyze(rec: &Recorder) -> RunAnalysis {
         .iter()
         .map(|l| WorkerUtilization {
             name: l.name.clone(),
-            busy_ms: l.busy_us / 1e3,
+            busy_ms: l.busy_us() / 1e3,
             park_ms: l.park_us / 1e3,
             queue_wait_ms: l.queue_wait_us / 1e3,
             utilization_pct: if pool_span_us > 0.0 {
-                l.busy_us / pool_span_us * 100.0
+                l.busy_us() / pool_span_us * 100.0
             } else {
                 0.0
             },
@@ -632,11 +632,9 @@ mod tests {
     use gpu_sim::{SimDuration, SimTime};
 
     fn lane(name: &str, events: Vec<PoolTaskEvent>) -> PoolWorkerLane {
-        let busy_us = events.iter().map(|e| e.dur_us).sum();
         let tasks = events.len() as u64;
         PoolWorkerLane {
             name: name.into(),
-            busy_us,
             tasks,
             local_pops: tasks,
             events,
@@ -712,6 +710,25 @@ mod tests {
         let a = analyze(&rec);
         assert_eq!(a.stages[0].serial_fraction, 1.0);
         assert!((a.stages[0].amdahl_max_speedup - 1.0).abs() < 1e-9);
+    }
+
+    #[test]
+    fn nested_tasks_do_not_push_utilization_above_100_pct() {
+        // A worker busy for the whole 1000 µs session, with two tasks run
+        // nested inside the outer one while it waited (`help_one`): the
+        // durations sum to 1700 µs, the busy time is their union.
+        let rec = Recorder::new();
+        rec.record_pool_lanes(
+            1000.0,
+            vec![lane(
+                "main",
+                vec![ev(0.0, 1000.0), ev(100.0, 400.0), ev(200.0, 300.0)],
+            )],
+        );
+        let w = &analyze(&rec).workers[0];
+        assert_eq!(w.busy_ms, 1.0);
+        assert!(w.utilization_pct <= 100.0, "{w:?}");
+        assert_eq!(w.utilization_pct, 100.0);
     }
 
     #[test]

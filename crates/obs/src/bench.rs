@@ -19,11 +19,13 @@ use std::collections::BTreeMap;
 /// Document identifier; bump [`SCHEMA_VERSION`] on incompatible changes.
 ///
 /// Version history: v1 had no provenance header and no per-workload
-/// `modeled_time_bits`; v2 (PR 9) added both. [`BenchDoc::parse`] still
-/// accepts v1 documents (the optional fields come back `None`) so
-/// `--compare` against pre-PR-9 baselines keeps working.
+/// `modeled_time_bits`; v2 added both. v3 dropped the retired
+/// disjoint-set clusterer's `disjoint_set` stage. [`BenchDoc::parse`]
+/// still accepts v1 and v2 documents (v1's optional fields come back
+/// `None`; a v2 `disjoint_set` stage parses like any other stage) so
+/// `--compare` against older baselines keeps working.
 pub const SCHEMA: &str = "hybrid-dbscan/bench-suite";
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// Robust summary of one stage's per-trial durations (milliseconds).
 ///
@@ -62,8 +64,8 @@ pub struct WorkloadResult {
     /// seconds), serialized as a hex string. `None` on v1 documents and on
     /// workloads without a single modeled time.
     pub modeled_time_bits: Option<u64>,
-    /// Stage name → summary (`build_table`, `dbscan`, `disjoint_set`,
-    /// `modeled`).
+    /// Stage name → summary (`build_table`, `dbscan`, `modeled`, or the
+    /// micro workload's stages).
     pub stages: BTreeMap<String, StageStats>,
     /// Device-counter profiles, e.g. `kernels` (all launches of the run).
     pub counters: BTreeMap<String, ProfileStats>,
@@ -380,7 +382,11 @@ mod tests {
         let text = sample_doc().to_json();
         let wrong = text.replacen(SCHEMA, "something/else", 1);
         assert!(BenchDoc::parse(&wrong).unwrap_err().contains("schema"));
-        let wrong = text.replacen(r#""version":2"#, r#""version":999"#, 1);
+        let wrong = text.replacen(
+            &format!(r#""version":{SCHEMA_VERSION}"#),
+            r#""version":999"#,
+            1,
+        );
         assert!(BenchDoc::parse(&wrong).unwrap_err().contains("version"));
         assert!(BenchDoc::parse("{}").is_err());
         assert!(BenchDoc::parse("not json").is_err());
@@ -400,6 +406,21 @@ mod tests {
         let parsed = BenchDoc::parse(&text).expect("v1 fallback");
         assert_eq!(parsed, doc);
         assert_eq!(parsed.to_json(), text, "v1 round-trip stays exact");
+    }
+
+    #[test]
+    fn v2_documents_with_a_disjoint_set_stage_still_parse() {
+        // A v2 suite record (the committed smoke baseline's format) still
+        // carries the retired disjoint-set clusterer's wall stage.
+        let mut doc = sample_doc();
+        doc.version = 2;
+        let stage = doc.workloads[0].stages["build_table"].clone();
+        doc.workloads[0].stages.insert("disjoint_set".into(), stage);
+        let text = doc.to_json();
+        assert!(text.contains(r#""version":2"#));
+        let parsed = BenchDoc::parse(&text).expect("v2 fallback");
+        assert_eq!(parsed, doc);
+        assert!(parsed.workloads[0].stages.contains_key("disjoint_set"));
     }
 
     #[test]

@@ -304,7 +304,6 @@ mod tests {
             500.0,
             vec![PoolWorkerLane {
                 name: "rayon-worker-0".into(),
-                busy_us: 120.0,
                 tasks: 1,
                 steals: 1,
                 events: vec![PoolTaskEvent {

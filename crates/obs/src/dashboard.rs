@@ -15,7 +15,7 @@
 //! before the document is considered shippable.
 //!
 //! Palette: the workspace's validated reference palette — categorical
-//! slots 1–3 (all-pairs safe) for the three speedup series, a sequential
+//! slots 1–2 (all-pairs safe) for the two speedup series, a sequential
 //! blue ramp for utilization magnitude, and the reserved status colors
 //! (always icon + word, never color alone) for gate outcomes. Light and
 //! dark values are CSS custom properties; dark mode follows
@@ -144,25 +144,26 @@ fn finding_badge(f: &TrendFinding) -> String {
 }
 
 /// The threads-speedup chart: one polyline per stage over the thread
-/// counts of the newest `threads` record. Categorical slots 1–3 (the
+/// counts of the newest `threads` record. Categorical slots 1–2 (the
 /// all-pairs-safe opening), legend + direct series identity via the
-/// legend (3 series), single y axis.
+/// legend (2 series), single y axis. Metrics of stages older sweeps
+/// recorded and the chart no longer plots (`speedup_disjoint_set`) are
+/// ignored.
 fn speedup_chart(records: &[LedgerRecord]) -> String {
     let Some(rec) = records.iter().rev().find(|r| r.command == "threads") else {
         return String::new();
     };
     // (threads, [speedup per stage]) rows from the sweep entries.
-    const STAGES: [(&str, &str, &str); 3] = [
+    const STAGES: [(&str, &str, &str); 2] = [
         ("speedup_build_table", "build_table", "series-1"),
         ("speedup_dbscan", "dbscan", "series-2"),
-        ("speedup_disjoint_set", "disjoint_set", "series-3"),
     ];
-    let mut rows: Vec<(u64, [f64; 3])> = Vec::new();
+    let mut rows: Vec<(u64, [f64; 2])> = Vec::new();
     for e in &rec.entries {
         let Some(t) = e.metrics.get("threads").map(|v| *v as u64) else {
             continue;
         };
-        let mut s = [1.0; 3];
+        let mut s = [1.0; 2];
         for (i, (key, ..)) in STAGES.iter().enumerate() {
             s[i] = e.metrics.get(*key).copied().unwrap_or(1.0);
         }
@@ -236,7 +237,7 @@ fn speedup_chart(records: &[LedgerRecord]) -> String {
     }
     svg.push_str("</svg>");
 
-    // Legend (3 series → always present) and the table view.
+    // Legend (2 series → always present) and the table view.
     let mut legend = String::from(r#"<div class="legend">"#);
     for (_, name, var) in STAGES {
         let _ = write!(
@@ -246,13 +247,13 @@ fn speedup_chart(records: &[LedgerRecord]) -> String {
     }
     legend.push_str("</div>");
     let mut table = String::from(
-        r#"<details><summary>table view</summary><table><thead><tr><th>threads</th><th>build_table</th><th>dbscan</th><th>disjoint_set</th></tr></thead><tbody>"#,
+        r#"<details><summary>table view</summary><table><thead><tr><th>threads</th><th>build_table</th><th>dbscan</th></tr></thead><tbody>"#,
     );
     for (t, s) in &rows {
         let _ = write!(
             table,
-            "<tr><td>{t}</td><td>{:.2}x</td><td>{:.2}x</td><td>{:.2}x</td></tr>",
-            s[0], s[1], s[2]
+            "<tr><td>{t}</td><td>{:.2}x</td><td>{:.2}x</td></tr>",
+            s[0], s[1]
         );
     }
     table.push_str("</tbody></table></details>");
@@ -494,7 +495,7 @@ pub fn render_html(records: &[LedgerRecord], trend: &TrendReport) -> String {
   --surface-1: #fcfcfb; --page: #f9f9f7;
   --text-1: #0b0b0b; --text-2: #52514e; --muted: #898781;
   --grid: #e1e0d9; --axis: #c3c2b7; --border: rgba(11,11,11,0.10);
-  --series-1: #2a78d6; --series-2: #eb6834; --series-3: #1baf7a;
+  --series-1: #2a78d6; --series-2: #eb6834;
   --good: #0ca30c; --warning: #fab219; --serious: #ec835a; --critical: #d03b3b;
 }}
 @media (prefers-color-scheme: dark) {{
@@ -503,7 +504,7 @@ pub fn render_html(records: &[LedgerRecord], trend: &TrendReport) -> String {
     --surface-1: #1a1a19; --page: #0d0d0d;
     --text-1: #ffffff; --text-2: #c3c2b7; --muted: #898781;
     --grid: #2c2c2a; --axis: #383835; --border: rgba(255,255,255,0.10);
-    --series-1: #3987e5; --series-2: #d95926; --series-3: #199e70;
+    --series-1: #3987e5; --series-2: #d95926;
   }}
 }}
 :root[data-theme="dark"] .viz-root {{
@@ -511,7 +512,7 @@ pub fn render_html(records: &[LedgerRecord], trend: &TrendReport) -> String {
   --surface-1: #1a1a19; --page: #0d0d0d;
   --text-1: #ffffff; --text-2: #c3c2b7; --muted: #898781;
   --grid: #2c2c2a; --axis: #383835; --border: rgba(255,255,255,0.10);
-  --series-1: #3987e5; --series-2: #d95926; --series-3: #199e70;
+  --series-1: #3987e5; --series-2: #d95926;
 }}
 .viz-root {{
   font-family: system-ui, -apple-system, "Segoe UI", sans-serif;
@@ -675,6 +676,8 @@ mod tests {
                         e.metrics.insert("threads".into(), t as f64);
                         e.metrics.insert("speedup_build_table".into(), speed);
                         e.metrics.insert("speedup_dbscan".into(), 1.0);
+                        // Sweeps before schema version 3 also carried
+                        // the retired disjoint-set clusterer's speedup.
                         e.metrics.insert("speedup_disjoint_set".into(), speed * 0.9);
                         e.metrics.insert("worker_util_pct".into(), util);
                         rec.entries.push(e);
@@ -754,6 +757,8 @@ mod tests {
         ] {
             assert!(html.contains(needle), "missing {needle}");
         }
+        // A metric older sweeps carried is not charted.
+        assert!(!html.contains("<title>disjoint_set"));
         // Status is never color-alone: icon + word accompany the badge.
         assert!(html.contains("✓ pass") || html.contains("✗ fail"));
     }

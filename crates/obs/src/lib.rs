@@ -75,16 +75,32 @@ pub struct PoolTaskEvent {
 #[derive(Debug, Clone, Default)]
 pub struct PoolWorkerLane {
     pub name: String,
-    pub busy_us: f64,
     pub park_us: f64,
     pub queue_wait_us: f64,
     pub steals: u64,
     pub local_pops: u64,
     pub parks: u64,
     pub tasks: u64,
-    /// Sorted by `start_us`; lanes never self-overlap (one thread runs
-    /// chunks sequentially).
+    /// Sorted by `start_us`. Events can nest: a task waiting on a lock
+    /// runs another chunk on the same thread (`rayon::help_one`).
     pub events: Vec<PoolTaskEvent>,
+}
+
+impl PoolWorkerLane {
+    /// Wall microseconds this worker spent running tasks: the union of
+    /// its task intervals, so a nested task is not counted twice.
+    pub fn busy_us(&self) -> f64 {
+        let mut busy = 0.0;
+        let mut covered_to = f64::NEG_INFINITY;
+        for e in &self.events {
+            let end = e.start_us + e.dur_us;
+            if end > covered_to {
+                busy += end - e.start_us.max(covered_to);
+                covered_to = end;
+            }
+        }
+        busy
+    }
 }
 
 #[derive(Default)]
@@ -207,7 +223,6 @@ impl Recorder {
             .iter()
             .map(|w| PoolWorkerLane {
                 name: w.name.clone(),
-                busy_us: w.busy_us,
                 park_us: w.park_us,
                 queue_wait_us: w.queue_wait_us,
                 steals: w.steals,

@@ -76,7 +76,7 @@ fn write_pool_summary(out: &mut String, span_us: f64, lanes: &[PoolWorkerLane]) 
     );
     for lane in lanes {
         let busy_pct = if span_us > 0.0 {
-            lane.busy_us / span_us * 100.0
+            lane.busy_us() / span_us * 100.0
         } else {
             0.0
         };
@@ -160,21 +160,30 @@ mod tests {
 
     #[test]
     fn pool_summary_lists_each_worker_lane() {
-        use crate::PoolWorkerLane;
+        use crate::{PoolTaskEvent, PoolWorkerLane};
+        let ev = |start_us: f64, dur_us: f64| PoolTaskEvent {
+            label: "par_iter",
+            start_us,
+            dur_us,
+            stolen: false,
+            queue_us: 0.0,
+        };
         let rec = Recorder::new();
         rec.record_pool_lanes(
             1000.0,
             vec![
                 PoolWorkerLane {
                     name: "main".into(),
-                    busy_us: 900.0,
                     tasks: 3,
                     local_pops: 3,
+                    // The second task runs nested inside the first: busy
+                    // is their union (900 µs), not the 1100 µs sum.
+                    events: vec![ev(0.0, 600.0), ev(100.0, 200.0), ev(600.0, 300.0)],
                     ..Default::default()
                 },
                 PoolWorkerLane {
                     name: "rayon-worker-0".into(),
-                    busy_us: 250.0,
+                    events: vec![ev(0.0, 250.0)],
                     park_us: 700.0,
                     parks: 2,
                     steals: 1,

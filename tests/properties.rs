@@ -182,12 +182,14 @@ proptest! {
         let ts = TableSource::new(&handle.table);
         for orig in 0..data.len() as u32 {
             let sorted_id = handle.visit_order[orig as usize];
-            let mut a = Vec::new();
-            ts.neighbors_of(sorted_id, &mut a);
-            let mut a: Vec<u32> = a.iter().map(|&v| handle.perm[v as usize]).collect();
+            let mut scratch = Vec::new();
+            let mut a: Vec<u32> = ts
+                .neighbors(sorted_id, &mut scratch)
+                .iter()
+                .map(|&v| handle.perm[v as usize])
+                .collect();
             a.sort_unstable();
-            let mut b = Vec::new();
-            gs.neighbors_of(orig, &mut b);
+            let mut b = gs.neighbors(orig, &mut scratch).to_vec();
             b.sort_unstable();
             prop_assert_eq!(a, b, "point {}", orig);
         }
