@@ -133,7 +133,7 @@ fn run_workload(
             continue;
         }
         build_ms.push(build);
-        dbscan_ms.push(dbscan_time.as_millis());
+        dbscan_ms.push(dbscan_time.as_secs_f64() * 1e3);
         modeled_ms.push(handle.gpu.modeled_time.as_millis());
         // Exact bit pattern of the modeled seconds: the determinism
         // witness the ledger/trend layer tracks across runs.

@@ -3,11 +3,12 @@
 //! same preamble, batch plan, stream workers, retry/replan loop, schedule
 //! and recorder for 2-D and `D`-dimensional data.
 //!
-//! An impl answers only what differs by dimension: the spatial pre-sort,
-//! the coordinates the backend selector bins, and the ε-grid — its host
-//! build, its H2D upload, and its count and calc kernel launches. The
-//! tree backend ([`PackedKdTree`] with [`crate::kernels::GpuCalcTree`])
-//! is already dimension-generic and lives in the shared pipeline.
+//! An impl answers only what differs by dimension: the coordinates (which
+//! the spatial pre-sort keys and the backend selector bins), and the
+//! ε-grid — its host build, its H2D upload, and its count and calc kernel
+//! launches. The tree backend ([`PackedKdTree`] with
+//! [`crate::kernels::GpuCalcTree`]) is already dimension-generic and lives
+//! in the shared pipeline.
 //!
 //! * [`Point2`] keeps the paper's grid: dense or sparse [`GridIndex`],
 //!   [`GpuCalcGlobal`]/[`GpuCalcShared`]/[`NeighborCountKernel`], and the
@@ -26,8 +27,6 @@ use gpu_sim::memory::{DeviceAppendBuffer, DeviceBuffer, DeviceCounter};
 use gpu_sim::time::SimDuration;
 use gpu_sim::KernelReport;
 use spatial::grid::{CellRange, CellsView};
-use spatial::nd::spatial_sort_permutation_nd;
-use spatial::presort::{spatial_sort_permutation, SortPermutation};
 use spatial::{
     CellsViewN, GridGeometryN, GridIndex, GridIndexN, Point2, PointN, PointStore, PointStoreN,
     PointsViewN,
@@ -56,8 +55,6 @@ pub trait EpsPoint<const D: usize>: Copy + Send + Sync {
     type DeviceGrid: Send + Sync;
 
     fn coords(&self) -> [f64; D];
-    /// The unit-bin spatial pre-sort.
-    fn sort_permutation(data: &[Self]) -> SortPermutation;
     fn store(sorted: &[Self]) -> Self::Store;
     fn view(store: &Self::Store) -> PointsViewN<'_, D>;
     fn build_grid(sorted: &[Self], eps: f64) -> Self::Grid;
@@ -160,10 +157,6 @@ impl EpsPoint<2> for Point2 {
 
     fn coords(&self) -> [f64; 2] {
         [self.x, self.y]
-    }
-
-    fn sort_permutation(data: &[Self]) -> SortPermutation {
-        spatial_sort_permutation(data)
     }
 
     fn store(sorted: &[Self]) -> PointStore {
@@ -277,10 +270,6 @@ impl<const D: usize> EpsPoint<D> for PointN<D> {
 
     fn coords(&self) -> [f64; D] {
         self.coords
-    }
-
-    fn sort_permutation(data: &[Self]) -> SortPermutation {
-        spatial_sort_permutation_nd(data)
     }
 
     fn store(sorted: &[Self]) -> PointStoreN<D> {

@@ -59,10 +59,11 @@ use obs::Recorder;
 use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use spatial::grid::CellRange;
+use spatial::presort::spatial_sort_permutation_by;
 use spatial::{PackedKdTree, TreeView};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Which ε-neighborhood kernel to use.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -186,15 +187,15 @@ pub struct GpuPhaseBreakdown {
     pub ingest_time: SimDuration,
 }
 
-/// Timing breakdown of a full run (the three curves of Figure 3).
+/// Timing breakdown of a full run (the curves of Figure 3). The two
+/// fields are on different clocks, so the struct offers no sum: callers
+/// that print one add the two themselves and label it as mixed.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct HybridTimings {
     /// Table construction (modeled device + overlapped host).
     pub gpu_phase: SimDuration,
-    /// Host DBSCAN over the table (measured).
-    pub dbscan: SimDuration,
-    /// `gpu_phase + dbscan`.
-    pub total: SimDuration,
+    /// Host DBSCAN over the table (measured host wall time).
+    pub dbscan_wall: Duration,
 }
 
 /// The output of [`HybridDbscan::run`].
@@ -393,19 +394,18 @@ impl HybridDbscan {
         });
         let handle = self.build_table(data, eps)?;
         let dbscan_span = rec.map(|r| r.span("dbscan", "host"));
-        let (clustering, dbscan_time) = Self::cluster_with_table(&handle, minpts);
+        let (clustering, dbscan_wall) = Self::cluster_with_table(&handle, minpts);
         drop(dbscan_span);
         if let Some(r) = rec {
             r.metrics()
-                .observe("dbscan.duration_ms", dbscan_time.as_millis());
+                .observe("dbscan.duration_ms", dbscan_wall.as_secs_f64() * 1e3);
             r.metrics()
                 .gauge_set("dbscan.clusters", clustering.num_clusters() as f64);
         }
         drop(run_span);
         let timings = HybridTimings {
             gpu_phase: handle.gpu.modeled_time,
-            dbscan: dbscan_time,
-            total: handle.gpu.modeled_time + dbscan_time,
+            dbscan_wall,
         };
         Ok(HybridResult {
             clustering,
@@ -422,10 +422,10 @@ impl HybridDbscan {
     /// original point order (via [`TableHandle::visit_order`]) and the
     /// labels are mapped back, so the result is *identical* to the
     /// reference implementation's — not merely equivalent.
-    pub fn cluster_with_table(handle: &TableHandle, minpts: usize) -> (Clustering, SimDuration) {
+    pub fn cluster_with_table(handle: &TableHandle, minpts: usize) -> (Clustering, Duration) {
         let t0 = Instant::now();
         let clustering = cluster_table(&handle.table, &handle.perm, &handle.visit_order, minpts);
-        (clustering, t0.elapsed().into())
+        (clustering, t0.elapsed())
     }
 
     /// Construct the neighbor table `T` for `data` at `eps` (lines 2-8 of
@@ -458,7 +458,7 @@ impl HybridDbscan {
         // Spatial pre-sort (Section IV): improves locality and makes the
         // strided batch assignment a uniform spatial sample.
         let index_span = rec.map(|r| r.span("index_build", "host"));
-        let perm = P::sort_permutation(data);
+        let perm = spatial_sort_permutation_by(data, P::coords);
         let sorted: Vec<P> = perm.apply(data);
 
         // ε-search backend selection (grid vs packed kd-tree). Both
@@ -1526,7 +1526,7 @@ mod tests {
         let hybrid = HybridDbscan::new(&device, HybridConfig::default());
         let r = hybrid.run(&data, 0.5, 4).unwrap();
         assert!(r.timings.gpu_phase > SimDuration::ZERO);
-        assert!(r.timings.total.as_secs() >= r.timings.gpu_phase.as_secs());
+        assert!(r.timings.dbscan_wall > Duration::ZERO);
         assert!(r.gpu.result_pairs > 0);
         assert!(r.gpu.e_b > 0);
         assert!(r.gpu.kernel_profile.launches >= 2, "estimation + >=1 batch");

@@ -14,7 +14,7 @@
 //! per-batch result sizes `|R_l|` stay consistent (Figure 2). The launch
 //! covers `ceil(|D| / n_b)` points.
 
-use super::{load_cell_range, scan_cell_range, NeighborPair, SCAN_LANES};
+use super::{load_cell_range, scan_cell_range, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ChargeBatch};
 use gpu_sim::launch::LaunchConfig;
@@ -69,6 +69,7 @@ impl BlockKernel for GpuCalcGlobal<'_> {
         let n_points = self.points.len();
         let eps_sq = self.eps * self.eps;
         let in_batch = Self::points_in_batch(n_points, self.n_batches, self.batch) as u64;
+        let mut stage = self.result.stage();
 
         ctx.for_each_thread(|t| {
             if t.gid >= in_batch {
@@ -108,20 +109,17 @@ impl BlockKernel for GpuCalcGlobal<'_> {
                     |t, hits| {
                         // atomic: gpuResultSet <- gpuResultSet ∪ result —
                         // charged per hit (batched: exact integer costs),
-                        // appended with one cursor reservation per chunk.
+                        // staged per block and appended with one cursor
+                        // reservation per stage-full.
                         let mut charge = ChargeBatch {
                             atomics: hits.len() as u64,
                             ..ChargeBatch::default()
                         };
                         charge.write_global::<NeighborPair>(hits.len() as u64);
                         t.charge_batch(charge);
-                        let mut out = [(0u32, 0u32); SCAN_LANES];
-                        for (o, &cand) in out.iter_mut().zip(hits) {
-                            *o = (pi as u32, cand);
+                        for &cand in hits {
+                            stage.push((pi as u32, cand));
                         }
-                        // Overflow is recorded by the buffer; a real kernel
-                        // cannot unwind, so neither do we.
-                        let _ = self.result.append_n(&out[..hits.len()]);
                     },
                 );
             }
@@ -132,7 +130,10 @@ impl BlockKernel for GpuCalcGlobal<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{brute_force_pairs, estimate_result_capacity, mixed_points};
+    use super::super::test_support::{
+        brute_force_pairs, check_staged_appends, dense_cell_points, estimate_result_capacity,
+        mixed_points,
+    };
     use super::*;
     use gpu_sim::Device;
     use spatial::{GridIndex, Point2, PointStore};
@@ -276,6 +277,29 @@ mod tests {
         let data = vec![Point2::new(1.0, 1.0); 8];
         let (pairs, _) = run_kernel(&data, 0.1, 2);
         assert_eq!(pairs.len(), 64, "8 coincident points produce 8x8 pairs");
+    }
+
+    #[test]
+    fn block_overflowing_its_append_stage_loses_no_pair() {
+        let data = dense_cell_points();
+        let eps = 0.3;
+        let device = Device::k20c();
+        let grid = GridIndex::build(&data, eps);
+        let store = PointStore::from_points(&data);
+        check_staged_appends(&device, &brute_force_pairs(&data, eps), |result| {
+            let kernel = GpuCalcGlobal {
+                points: store.view(),
+                grid: grid.cells_view(),
+                lookup: grid.lookup(),
+                geom: grid.geometry(),
+                eps,
+                batch: 0,
+                n_batches: 1,
+                result,
+                skip_dense_at: None,
+            };
+            device.launch(kernel.launch_config(256), &kernel).unwrap();
+        });
     }
 
     #[test]

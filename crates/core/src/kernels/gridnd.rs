@@ -9,7 +9,7 @@
 //! `3^D` while the tree's candidate volume stays `(2ε)^D`.
 
 use super::tree::scan_ids_nd;
-use super::{NeighborPair, SCAN_LANES};
+use super::NeighborPair;
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ChargeBatch, ThreadCtx};
 use gpu_sim::launch::LaunchConfig;
@@ -58,6 +58,7 @@ impl<const D: usize> BlockKernel for GpuCalcGridNd<'_, D> {
         let eps_sq = self.eps * self.eps;
         let in_batch =
             super::GpuCalcGlobal::points_in_batch(n_points, self.n_batches, self.batch) as u64;
+        let mut stage = self.result.stage();
 
         ctx.for_each_thread(|t| {
             if t.gid >= in_batch {
@@ -90,11 +91,9 @@ impl<const D: usize> BlockKernel for GpuCalcGridNd<'_, D> {
                         };
                         charge.write_global::<NeighborPair>(hits.len() as u64);
                         t.charge_batch(charge);
-                        let mut out = [(0u32, 0u32); SCAN_LANES];
-                        for (o, &cand) in out.iter_mut().zip(hits) {
-                            *o = (pi as u32, cand);
+                        for &cand in hits {
+                            stage.push((pi as u32, cand));
                         }
-                        let _ = self.result.append_n(&out[..hits.len()]);
                     },
                 );
             }
@@ -164,6 +163,7 @@ impl<const D: usize> BlockKernel for GridNdCountKernel<'_, D> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::test_support::{check_staged_appends, dense_cell_points};
     use super::*;
     use gpu_sim::Device;
     use spatial::{GridIndexN, PointN, PointStoreN};
@@ -231,6 +231,31 @@ mod tests {
         let mut pairs = result.as_filled_slice().to_vec();
         pairs.sort_unstable();
         pairs
+    }
+
+    #[test]
+    fn block_overflowing_its_append_stage_loses_no_pair() {
+        let data: Vec<PointN<3>> = dense_cell_points()
+            .into_iter()
+            .map(|p| PointN::new([p.x, p.y, 0.25]))
+            .collect();
+        let eps = 0.3;
+        let device = Device::k20c();
+        let store = PointStoreN::from_points(&data);
+        let grid = GridIndexN::<3>::build(&data, eps);
+        check_staged_appends(&device, &brute_pairs_nd(&data, eps), |result| {
+            let kernel = GpuCalcGridNd {
+                points: store.view(),
+                cells: grid.cells(),
+                lookup: grid.lookup(),
+                geom: *grid.geometry(),
+                eps,
+                batch: 0,
+                n_batches: 1,
+                result,
+            };
+            device.launch(kernel.launch_config(256), &kernel).unwrap();
+        });
     }
 
     #[test]

@@ -129,10 +129,51 @@ pub(crate) fn scan_cell_range(
 
 #[cfg(test)]
 pub(crate) mod test_support {
-    use super::NeighborCountKernel;
-    use gpu_sim::memory::DeviceCounter;
+    use super::{NeighborCountKernel, NeighborPair};
+    use gpu_sim::memory::{DeviceAppendBuffer, DeviceCounter};
     use gpu_sim::Device;
     use spatial::{GridIndex, Point2, PointStore};
+
+    /// Coincident points at the head of [`dense_cell_points`].
+    pub const DENSE: usize = 120;
+
+    /// [`DENSE`] coincident points, then a scatter of [`mixed_points`].
+    /// At ε = 0.3 the coincident points share one cell and the first
+    /// block of a thread-per-point launch, so that one block emits
+    /// `DENSE²` = 14400 pairs — more than the K20c's 6144-pair append
+    /// stage holds.
+    pub fn dense_cell_points() -> Vec<Point2> {
+        let mut data = vec![Point2::new(0.5, 0.5); DENSE];
+        data.extend(mixed_points(200));
+        data
+    }
+
+    /// Launch a calc kernel (via `launch`) into an exactly sized result
+    /// buffer and into an undersized one. Block staging must lose no
+    /// pair: the first buffer holds exactly `exact`, and the second
+    /// reports overflow with `len() + rejected()` equal to `exact.len()`
+    /// — the `|R|` the overflow replan sizes its retry from.
+    pub fn check_staged_appends(
+        device: &Device,
+        exact: &[NeighborPair],
+        launch: impl Fn(&DeviceAppendBuffer<NeighborPair>),
+    ) {
+        let stage = device.props().shared_mem_per_block / std::mem::size_of::<NeighborPair>();
+        assert!(DENSE * DENSE > stage, "one block must overflow its stage");
+
+        let mut fits = DeviceAppendBuffer::new(device, exact.len()).unwrap();
+        launch(&fits);
+        assert!(!fits.overflowed());
+        let mut pairs = fits.as_filled_slice().to_vec();
+        pairs.sort_unstable();
+        assert_eq!(pairs, exact);
+
+        let short = DeviceAppendBuffer::new(device, exact.len() / 3).unwrap();
+        launch(&short);
+        assert!(short.overflowed());
+        assert_eq!(short.len(), short.capacity());
+        assert_eq!(short.len() + short.rejected(), exact.len());
+    }
 
     /// Size a result buffer the way the production pipeline does: run the
     /// Section VI estimation kernel (exact at stride 1) and add the same

@@ -73,6 +73,7 @@ impl BlockKernel for GpuCalcShared<'_> {
         let cell = self.schedule[ctx.block_idx as usize];
         let origin_range = self.grid.range_of(cell);
         let m_origin = origin_range.len();
+        let mut stage = self.result.stage();
 
         // shared pntsOriginCell[blockDim.x], pntsCompCell[blockDim.x] —
         // staged SoA (split x/y), same 2 * size_of::<Point2>() bytes per
@@ -190,22 +191,20 @@ impl BlockKernel for GpuCalcShared<'_> {
                                     let dy = py - s_comp_y[j + l];
                                     d2[l] += dy * dy;
                                 }
-                                let mut out = [(0u32, 0u32); SCAN_LANES];
-                                let mut h = 0;
+                                let mut h = 0u64;
                                 for (l, &d) in d2.iter().take(c).enumerate() {
                                     if d <= eps_sq {
-                                        out[h] = (pid, self.lookup[c_base + j + l]);
+                                        stage.push((pid, self.lookup[c_base + j + l]));
                                         h += 1;
                                     }
                                 }
                                 if h > 0 {
                                     let mut charge = ChargeBatch {
-                                        atomics: h as u64,
+                                        atomics: h,
                                         ..ChargeBatch::default()
                                     };
-                                    charge.write_global::<NeighborPair>(h as u64);
+                                    charge.write_global::<NeighborPair>(h);
                                     t.charge_batch(charge);
-                                    let _ = self.result.append_n(&out[..h]);
                                 }
                             }
                             j += c;
@@ -220,7 +219,10 @@ impl BlockKernel for GpuCalcShared<'_> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{brute_force_pairs, estimate_result_capacity, mixed_points};
+    use super::super::test_support::{
+        brute_force_pairs, check_staged_appends, dense_cell_points, estimate_result_capacity,
+        mixed_points,
+    };
     use super::*;
     use gpu_sim::Device;
     use spatial::{GridIndex, PointStore};
@@ -286,6 +288,27 @@ mod tests {
             report.config.grid_dim, 1,
             "single non-empty cell = single block"
         );
+    }
+
+    #[test]
+    fn block_overflowing_its_append_stage_loses_no_pair() {
+        let data = dense_cell_points();
+        let eps = 0.3;
+        let device = Device::k20c();
+        let grid = GridIndex::build(&data, eps);
+        let store = PointStore::from_points(&data);
+        check_staged_appends(&device, &brute_force_pairs(&data, eps), |result| {
+            let kernel = GpuCalcShared {
+                points: store.view(),
+                grid: grid.cells_view(),
+                lookup: grid.lookup(),
+                geom: grid.geometry(),
+                eps,
+                schedule: grid.non_empty_cells(),
+                result,
+            };
+            device.launch(kernel.launch_config(64), &kernel).unwrap();
+        });
     }
 
     #[test]

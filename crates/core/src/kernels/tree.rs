@@ -199,6 +199,7 @@ impl<const D: usize> BlockKernel for GpuCalcTree<'_, D> {
     fn run_block(&self, ctx: &mut BlockCtx) -> Result<(), DeviceError> {
         let n_points = self.points.len();
         let in_batch = Self::points_in_batch(n_points, self.n_batches, self.batch) as u64;
+        let mut stage = self.result.stage();
 
         ctx.for_each_thread(|t| {
             if t.gid >= in_batch {
@@ -220,13 +221,9 @@ impl<const D: usize> BlockKernel for GpuCalcTree<'_, D> {
                 };
                 charge.write_global::<NeighborPair>(hits.len() as u64);
                 t.charge_batch(charge);
-                let mut out = [(0u32, 0u32); SCAN_LANES];
-                for (o, &cand) in out.iter_mut().zip(hits) {
-                    *o = (pi as u32, cand);
+                for &cand in hits {
+                    stage.push((pi as u32, cand));
                 }
-                // Overflow is recorded by the buffer; a real kernel
-                // cannot unwind, so neither do we.
-                let _ = self.result.append_n(&out[..hits.len()]);
             });
         });
         Ok(())
@@ -287,7 +284,10 @@ impl<const D: usize> BlockKernel for TreeCountKernel<'_, D> {
 
 #[cfg(test)]
 mod tests {
-    use super::super::test_support::{brute_force_pairs, estimate_result_capacity, mixed_points};
+    use super::super::test_support::{
+        brute_force_pairs, check_staged_appends, dense_cell_points, estimate_result_capacity,
+        mixed_points,
+    };
     use super::*;
     use gpu_sim::Device;
     use spatial::{GridIndex, PackedKdTree, Point2, PointN, PointStore, PointStoreN};
@@ -351,6 +351,26 @@ mod tests {
         let mut pairs = result.as_filled_slice().to_vec();
         pairs.sort_unstable();
         pairs
+    }
+
+    #[test]
+    fn block_overflowing_its_append_stage_loses_no_pair() {
+        let data: Vec<PointN<2>> = dense_cell_points().into_iter().map(PointN::from).collect();
+        let eps = 0.3;
+        let device = Device::k20c();
+        let store = PointStoreN::from_points(&data);
+        let tree = PackedKdTree::<2>::build(store.view());
+        check_staged_appends(&device, &brute_pairs_nd(&data, eps), |result| {
+            let kernel = GpuCalcTree {
+                points: store.view(),
+                tree: tree.view(),
+                eps,
+                batch: 0,
+                n_batches: 1,
+                result,
+            };
+            device.launch(kernel.launch_config(256), &kernel).unwrap();
+        });
     }
 
     #[test]

@@ -30,7 +30,7 @@ use parking_lot::Mutex;
 use serde::{Deserialize, Serialize};
 use spatial::Point2;
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Pipeline configuration.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -60,8 +60,8 @@ pub struct VariantTiming {
     pub variant: Variant,
     /// Table-construction (GPU-phase) modeled time `g_i`.
     pub gpu_phase: SimDuration,
-    /// Host DBSCAN time `d_i` (measured).
-    pub dbscan: SimDuration,
+    /// Host DBSCAN time `d_i` (measured host wall time).
+    pub dbscan_wall: Duration,
 }
 
 /// The outcome of a pipelined multi-clustering run.
@@ -73,7 +73,7 @@ pub struct PipelineReport {
     /// Makespan of the overlapped producer-consumer schedule.
     pub pipelined_total: SimDuration,
     /// Wall-clock time of the actual concurrent execution.
-    pub wall_time: std::time::Duration,
+    pub wall_time: Duration,
     /// Cluster counts per variant (full label vectors are dropped to keep
     /// sweep memory bounded; rerun a single variant to inspect labels).
     pub cluster_counts: Vec<u32>,
@@ -221,12 +221,12 @@ impl MultiClusterPipeline {
             let t0 = Instant::now();
             let clustering =
                 cluster_table(&handle.table, &handle.perm, &handle.visit_order, v.minpts);
-            let dbscan_time: SimDuration = t0.elapsed().into();
+            let dbscan_wall = t0.elapsed();
             drop(consume_span);
             per_variant.push(VariantTiming {
                 variant: *v,
                 gpu_phase: handle.modeled_time,
-                dbscan: dbscan_time,
+                dbscan_wall,
             });
             cluster_counts.push(clustering.num_clusters());
         }
@@ -265,12 +265,12 @@ impl MultiClusterPipeline {
                 s.arg("minpts", v.minpts);
                 s
             });
-            let (clustering, dbscan_time) = HybridDbscan::cluster_with_table(&handle, v.minpts);
+            let (clustering, dbscan_wall) = HybridDbscan::cluster_with_table(&handle, v.minpts);
             drop(consume_span);
             per_variant.push(VariantTiming {
                 variant: *v,
                 gpu_phase: handle.gpu.modeled_time,
-                dbscan: dbscan_time,
+                dbscan_wall,
             });
             cluster_counts.push(clustering.num_clusters());
         }
@@ -291,7 +291,10 @@ impl MultiClusterPipeline {
         wall_start: Instant,
     ) -> PipelineReport {
         let g: Vec<SimDuration> = per_variant.iter().map(|t| t.gpu_phase).collect();
-        let d: Vec<SimDuration> = per_variant.iter().map(|t| t.dbscan).collect();
+        // The schedule model takes the measured d_i as stage durations on
+        // the same axis as the modeled g_i: the one place wall time enters
+        // a modeled total, and the reason those totals are not bit-stable.
+        let d: Vec<SimDuration> = per_variant.iter().map(|t| t.dbscan_wall.into()).collect();
         let non_pipelined_total =
             g.iter().copied().sum::<SimDuration>() + d.iter().copied().sum::<SimDuration>();
         let pipelined_total = pipeline_makespan(&g, &d, consumers);
@@ -365,13 +368,13 @@ impl MultiClusterPipeline {
                             span.arg("minpts", v.minpts);
                             span
                         });
-                        let (clustering, dbscan_time) =
+                        let (clustering, dbscan_wall) =
                             HybridDbscan::cluster_with_table(&handle, v.minpts);
                         drop(consume_span);
                         let timing = VariantTiming {
                             variant: v,
                             gpu_phase: handle.gpu.modeled_time,
-                            dbscan: dbscan_time,
+                            dbscan_wall,
                         };
                         results.lock()[i] = Some((timing, clustering));
                     }

@@ -13,7 +13,9 @@
 
 use gpu_sim::device::Device;
 use hybrid_dbscan_core::backend::IndexBackend;
-use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
+use hybrid_dbscan_core::hybrid::{
+    HybridConfig, HybridDbscan, HybridError, KernelChoice, TableHandle,
+};
 use proptest::prelude::*;
 use spatial::{Point2, PointN};
 
@@ -86,6 +88,61 @@ fn fingerprint_at(
             per_batch_pairs: handle.gpu.per_batch_pairs.clone(),
         }
     })
+}
+
+/// Clumps of coincident points dense enough that calc-kernel blocks emit
+/// more pairs than the block-local append stage holds (one block's shared
+/// memory worth, 6144 pairs on the K20c). Stage flushes then interleave
+/// across host threads; the device sort must still canonicalize the
+/// table, and the modeled time must not move.
+#[test]
+fn blocks_overflowing_the_append_stage_identical_at_1_2_and_8_threads() {
+    const CLUMP: usize = 240;
+    let mut data = Vec::new();
+    for c in 0..4 {
+        data.extend(std::iter::repeat_n(
+            Point2::new(0.5 + 2.0 * c as f64, 0.5),
+            CLUMP,
+        ));
+    }
+    data.extend((0..300).map(|i| {
+        let t = i as f64;
+        Point2::new((t * 0.777).fract() * 8.0, (t * 0.333).fract() * 8.0)
+    }));
+    let (eps, minpts) = (0.3, 4);
+    let stage_pairs = Device::k20c().props().shared_mem_per_block / 8;
+    let configs = [
+        (
+            "tree backend",
+            HybridConfig {
+                backend: IndexBackend::Tree,
+                ..Default::default()
+            },
+        ),
+        (
+            "shared kernel",
+            HybridConfig {
+                kernel: KernelChoice::Shared,
+                ..Default::default()
+            },
+        ),
+    ];
+    for (name, cfg) in configs {
+        let base = run_config_at(1, &cfg, &data, eps, minpts);
+        // Thread per point (tree): a clump's points of one strided batch
+        // are consecutive gids, so at most two blocks share its
+        // CLUMP / n_batches · CLUMP pairs. Block per cell (shared): the
+        // clump's block emits CLUMP² pairs.
+        assert!(
+            CLUMP / base.n_batches * CLUMP / 2 > stage_pairs,
+            "{name}: no block overflows its stage ({} batches)",
+            base.n_batches
+        );
+        for threads in [2usize, 8] {
+            let other = run_config_at(threads, &cfg, &data, eps, minpts);
+            assert_eq!(base, other, "{name} diverged at {threads} threads");
+        }
+    }
 }
 
 proptest! {

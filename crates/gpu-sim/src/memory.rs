@@ -192,11 +192,12 @@ impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
         Ok(())
     }
 
-    /// Append a small run of items with a single cursor reservation — the
-    /// device idiom of one `atomicAdd(cursor, n)` per thread-local batch
-    /// instead of one per element. Overflow accounting matches `n`
-    /// individual [`append`](Self::append) calls exactly: items that fit
-    /// in the reserved window are stored, the rest are counted rejected.
+    /// Append a run of items with a single cursor reservation — the device
+    /// idiom of one `atomicAdd(cursor, n)` per block-staged batch instead
+    /// of one per element ([`AppendStage`] is the caller). Overflow
+    /// accounting matches `n` individual [`append`](Self::append) calls
+    /// exactly: items that fit in the reserved window are stored, the rest
+    /// are counted rejected.
     #[inline]
     pub fn append_n(&self, items: &[T]) -> Result<(), DeviceError> {
         if items.is_empty() {
@@ -218,6 +219,23 @@ impl<T: Copy + Send + Default> DeviceAppendBuffer<T> {
             });
         }
         Ok(())
+    }
+
+    /// A block-local stage in front of this buffer: items pushed into it
+    /// reach the buffer through one [`append_n`](Self::append_n) per
+    /// stage-full and one at block end (drop). Capacity is one block's
+    /// shared memory worth of items (`shared_mem_per_block / size_of::<T>()`,
+    /// 6144 pairs on the K20c) — the CUDA idiom of staging a block's results
+    /// in shared memory and reserving global space with a single
+    /// `atomicAdd`. Only the cursor traffic changes: every pushed item is
+    /// stored or counted rejected, so `len() + rejected()` stays the exact
+    /// number of items pushed.
+    pub fn stage(&self) -> AppendStage<'_, T> {
+        let cap = (self.device.props().shared_mem_per_block / std::mem::size_of::<T>()).max(1);
+        AppendStage {
+            buf: self,
+            items: Vec::with_capacity(cap),
+        }
     }
 
     /// View of the filled prefix. Requires `&mut self`, i.e. no concurrent
@@ -270,6 +288,40 @@ impl<T: Copy + Send> Drop for DeviceAppendBuffer<T> {
     fn drop(&mut self) {
         self.device
             .free_bytes(self.slots.len() * std::mem::size_of::<T>());
+    }
+}
+
+/// Block-local staging for a [`DeviceAppendBuffer`]; see
+/// [`DeviceAppendBuffer::stage`]. Flushes when full and on drop, so a
+/// block that returns early (a `?` on a failed shared-memory allocation)
+/// still delivers every item it pushed.
+pub struct AppendStage<'a, T: Copy + Send + Default> {
+    buf: &'a DeviceAppendBuffer<T>,
+    items: Vec<T>,
+}
+
+impl<T: Copy + Send + Default> AppendStage<'_, T> {
+    /// Stage one item, flushing first if the stage is full.
+    #[inline]
+    pub fn push(&mut self, item: T) {
+        if self.items.len() == self.items.capacity() {
+            self.flush();
+        }
+        self.items.push(item);
+    }
+
+    /// Hand every staged item to the buffer with one cursor reservation.
+    fn flush(&mut self) {
+        // Overflow is recorded by the buffer; a real kernel cannot
+        // unwind, so neither does the stage.
+        let _ = self.buf.append_n(&self.items);
+        self.items.clear();
+    }
+}
+
+impl<T: Copy + Send + Default> Drop for AppendStage<'_, T> {
+    fn drop(&mut self) {
+        self.flush();
     }
 }
 
@@ -421,6 +473,36 @@ mod tests {
         buf.append(7).unwrap();
         assert_eq!(buf.as_filled_slice(), &[7]);
         assert_eq!(d.used_bytes(), used, "reset must not reallocate");
+    }
+
+    #[test]
+    fn append_stage_flushes_when_full_and_on_drop() {
+        let d = Device::k20c();
+        let cap = d.props().shared_mem_per_block / std::mem::size_of::<(u32, u32)>();
+        assert_eq!(cap, 6144);
+        let mut buf = DeviceAppendBuffer::<(u32, u32)>::new(&d, 2 * cap).unwrap();
+        {
+            let mut stage = buf.stage();
+            for i in 0..cap as u32 + 1 {
+                stage.push((i, i));
+            }
+            // The full stage went out in one reservation; the last item
+            // is still staged.
+            assert_eq!(buf.len(), cap);
+        }
+        assert_eq!(buf.len(), cap + 1);
+        let expected: Vec<(u32, u32)> = (0..cap as u32 + 1).map(|i| (i, i)).collect();
+        assert_eq!(buf.as_filled_slice(), expected.as_slice());
+
+        // Past capacity every pushed item is still counted.
+        let small = DeviceAppendBuffer::<(u32, u32)>::new(&d, 10).unwrap();
+        let mut stage = small.stage();
+        for i in 0..25 {
+            stage.push((i, 0));
+        }
+        drop(stage);
+        assert!(small.overflowed());
+        assert_eq!(small.len() + small.rejected(), 25);
     }
 
     #[test]

@@ -70,12 +70,13 @@ fn radix_sort_pairs(pairs: &mut [(u32, u32)]) {
         return;
     }
     let parallel = n >= RADIX_PAR_MIN_PAIRS && rayon::current_num_threads() > 1;
-    // Presorted-key regime: kernels append result chunks in thread order,
-    // so with few host threads the buffer's *keys* are already
+    // Presorted-key regime: the thread-per-point kernels stage each
+    // block's hits in thread order and flush whole stages, so when one
+    // host thread runs the blocks in order the buffer's *keys* are already
     // non-decreasing — only the values inside each equal-key run need
     // ordering. One O(n) check buys skipping the grouping passes
-    // entirely; with more interleaving the check fails and the generic
-    // paths below produce the identical total order.
+    // entirely; when block stages interleave the check fails and the
+    // generic paths below produce the identical total order.
     if pairs.is_sorted_by_key(|&(k, _)| k) {
         if parallel {
             sort_value_runs_parallel(pairs);

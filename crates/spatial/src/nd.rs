@@ -12,14 +12,12 @@
 //! * [`PointStoreN`] / [`PointsViewN`] — the SoA coordinate store, one
 //!   contiguous array per dimension, mirroring [`crate::soa::PointStore`];
 //! * [`AabbN`] — axis-aligned bounds;
-//! * [`spatial_sort_permutation_nd`] — the unit-width binning pre-sort,
-//!   generalized: bins compare from the last dimension down to the first
-//!   (row-major, matching the 2-D `(y, x)` key), then exact coordinates,
-//!   then index, so the permutation is total and deterministic;
 //! * [`brute_force_neighbors_nd`] — the test/differential oracle.
+//!
+//! The unit-width binning pre-sort is one dimension-generic function for
+//! every point type, [`crate::presort::spatial_sort_permutation_by`].
 
 use crate::point::Point2;
-use crate::presort::SortPermutation;
 
 /// A point in `D`-dimensional space.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -198,42 +196,10 @@ pub fn brute_force_neighbors_nd<const D: usize>(
         .collect()
 }
 
-/// Unit-width bin of a coordinate.
-#[inline]
-fn unit_bin(c: f64) -> i64 {
-    c.floor() as i64
-}
-
-/// The unit-bin spatial sort permutation for `D`-dimensional data —
-/// the generalization of [`crate::presort::spatial_sort_permutation`].
-/// Bins (then exact coordinates) compare from the last dimension down to
-/// the first, matching the 2-D row-major `(y, x)` key; the index tiebreak
-/// makes the comparator total, so the permutation is unique and
-/// deterministic at every thread count.
-pub fn spatial_sort_permutation_nd<const D: usize>(data: &[PointN<D>]) -> SortPermutation {
-    let mut order: Vec<u32> = (0..data.len() as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (pa, pb) = (&data[a as usize], &data[b as usize]);
-        for k in (0..D).rev() {
-            match unit_bin(pa.coords[k]).cmp(&unit_bin(pb.coords[k])) {
-                std::cmp::Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        for k in (0..D).rev() {
-            match pa.coords[k].total_cmp(&pb.coords[k]) {
-                std::cmp::Ordering::Equal => {}
-                o => return o,
-            }
-        }
-        a.cmp(&b)
-    });
-    SortPermutation::from_order(order)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::presort::spatial_sort_permutation_by;
 
     #[test]
     fn distance_matches_point2_bitwise() {
@@ -285,7 +251,7 @@ mod tests {
 
     #[test]
     fn nd_presort_matches_2d_presort() {
-        // At D = 2 the generic comparator must reproduce the 2-D one.
+        // At D = 2 the generic key sort must reproduce the 2-D one.
         let data: Vec<Point2> = (0..50)
             .map(|i| {
                 let t = i as f64;
@@ -294,7 +260,7 @@ mod tests {
             .collect();
         let nd: Vec<PointN<2>> = data.iter().map(|&p| PointN::from(p)).collect();
         let p2 = crate::presort::spatial_sort_permutation(&data);
-        let pn = spatial_sort_permutation_nd(&nd);
+        let pn = spatial_sort_permutation_by(&nd, |p| p.coords);
         assert_eq!(p2.as_slice(), pn.as_slice());
     }
 
@@ -311,8 +277,8 @@ mod tests {
                 ])
             })
             .collect();
-        let p1 = spatial_sort_permutation_nd(&data);
-        let p2 = spatial_sort_permutation_nd(&data);
+        let p1 = spatial_sort_permutation_by(&data, |p| p.coords);
+        let p2 = spatial_sort_permutation_by(&data, |p| p.coords);
         assert_eq!(p1.as_slice(), p2.as_slice());
         let mut seen = vec![false; data.len()];
         for &i in p1.as_slice() {

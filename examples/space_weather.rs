@@ -49,7 +49,7 @@ fn main() {
             t.variant.eps,
             count,
             t.gpu_phase.as_millis(),
-            t.dbscan.as_millis()
+            t.dbscan_wall.as_secs_f64() * 1e3
         );
     }
     println!(

@@ -1,16 +1,14 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass.
 #
-#   scripts/ci.sh            # build + test + fmt (+ clippy, advisory)
-#   CLIPPY_STRICT=1 scripts/ci.sh   # make clippy failures fatal too
+#   scripts/ci.sh            # build + test + fmt + clippy
 #   DIFF_STRICT=1 scripts/ci.sh     # make the long differential sweep fatal
 #   BENCH_STRICT=1 scripts/ci.sh    # make benchmark regressions fatal
 #   TREND_STRICT=1 scripts/ci.sh    # make cross-run trend regressions fatal
 #
-# clippy and the 200-case differential sweep are advisory by default —
-# lint sets shift across toolchains, and the sweep is the long randomized
-# tier of a harness whose quick tier already gates fatally; build, tests,
-# and formatting are always fatal.
+# The 200-case differential sweep is advisory by default — it is the long
+# randomized tier of a harness whose quick tier already gates fatally;
+# build, tests, formatting and clippy (`-D warnings`) are always fatal.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -123,16 +121,7 @@ step "differential quick (sharded, DIFF_STRICT=1)" \
     cargo test -p hybrid-dbscan-core --test differential sharded -q
 
 step "fmt" cargo fmt --all --check
-
-echo "==> clippy: cargo clippy --workspace --all-targets -- -D warnings"
-if cargo clippy --workspace --all-targets -- -D warnings; then
-    echo "==> clippy: OK"
-elif [ "${CLIPPY_STRICT:-0}" = "1" ]; then
-    echo "==> clippy: FAILED (strict)"
-    failed=1
-else
-    echo "==> clippy: FAILED (advisory only; set CLIPPY_STRICT=1 to enforce)"
-fi
+step "clippy" cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> differential sweep: DIFF_CASES=200 cargo test --test differential seeded_sweep"
 if env DIFF_CASES=200 cargo test -p hybrid-dbscan-core --test differential seeded_sweep -q; then
