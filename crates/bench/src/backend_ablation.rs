@@ -1,125 +1,39 @@
 //! **Backend ablation** — grid vs tree vs auto ε-search, 2-D and d > 2.
 //!
-//! Two entry points, mirroring [`crate::shard`]:
+//! Each registry ablation workload ([`crate::harness::ABLATION`]: skewed
+//! SW1, uniform SDSS1, skewed-exp SKX1, jittered 3-D and 4-D lattices)
+//! runs under all three `IndexBackend` settings, one
+//! [`WorkloadResult`] row per backend. Every backend's neighbor table and
+//! clustering must be fingerprint-identical ([`mismatches`]); what
+//! differs — and what this ablation measures — is the *modeled* device
+//! time. Each auto row records whether the selector picked the backend
+//! the modeled times say is faster. Every workload, 2-D or N-D, goes
+//! through the same `HybridDbscan::build_table`, so every modeled time is
+//! a 3-stream makespan and the rows compare like for like across
+//! dimensions.
 //!
-//! * [`run_backend_workloads`] — appended to the `repro bench` suite:
-//!   each ablation workload (skewed SW1, uniform SDSS1, skewed-exp SKX1,
-//!   jittered 3-D and 4-D lattices) runs under all three `IndexBackend`
-//!   settings. Every backend's neighbor table and clustering must be
-//!   fingerprint-identical (the bench never times a wrong answer); what
-//!   differs — and what this ablation measures — is the *modeled* device
-//!   time. Each auto row records whether the selector picked the
-//!   backend the modeled times say is faster. Every workload, 2-D or
-//!   N-D, goes through the same `HybridDbscan::build_table`, so every
-//!   modeled time is a 3-stream makespan and the rows compare like for
-//!   like across dimensions.
-//! * [`print`] — `repro backend`: the CI smoke step. Runs the ablation,
-//!   prints the per-workload grid/tree/auto comparison, and exits
-//!   nonzero on any fingerprint mismatch, or — under `BENCH_STRICT=1` —
-//!   when the auto selector matches the per-workload winner on fewer
-//!   than [`AUTO_MATCH_FLOOR`] of the workloads.
+//! The rows ride in the `repro bench` suite ([`run_backend_workloads`]);
+//! [`print`] is `repro backend`, the CI smoke step: it prints the
+//! per-workload grid/tree/auto comparison, writes `BENCH_backend.json`,
+//! and exits nonzero on any fingerprint mismatch, or — under
+//! `BENCH_STRICT=1` — when the auto selector matches the per-workload
+//! winner on fewer than [`AUTO_MATCH_FLOOR`] of the workloads.
 
 use crate::common::{DatasetCache, Options, TextTable};
-use crate::stats;
-use gpu_sim::time::SimDuration;
+use crate::harness::{self, AblationData, AblationWorkload, Findings, ABLATION};
 use gpu_sim::Device;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, HybridError, TableHandle};
 use hybrid_dbscan_core::{clustering_fingerprint, table_fingerprint, IndexBackend};
 use obs::bench::WorkloadResult;
+use obs::stats;
 use std::time::Instant;
 
 /// The acceptance floor for the auto selector: it must pick the
 /// modeled-time winner on at least this fraction of ablation workloads.
 pub const AUTO_MATCH_FLOOR: f64 = 0.9;
 
-/// What the ablation clusters.
-#[derive(Debug, Clone, Copy)]
-enum AblationData {
-    /// A registered 2-D dataset, by name.
-    Named(&'static str),
-    /// A jittered D-dimensional lattice: `full_size` points at scale 1,
-    /// unit spacing, `jitter` of a spacing of Gaussian displacement.
-    Lattice {
-        d: usize,
-        full_size: usize,
-        jitter: f64,
-        seed: u64,
-    },
-}
-
-/// One ablation workload; each runs under grid, tree, and auto.
-#[derive(Debug, Clone, Copy)]
-pub struct AblationWorkload {
-    pub id: &'static str,
-    data: AblationData,
-    pub eps: f64,
-    pub minpts: usize,
-}
-
-/// The fixed ablation set: both 2-D density regimes the selector
-/// separates (uniform SDSS, skewed SW, strongly skewed SKX), plus the
-/// d > 2 lattices where the grid's 3^D stencil over-scans.
-pub const ABLATION: &[AblationWorkload] = &[
-    AblationWorkload {
-        id: "backend/sdss1-eps0.2",
-        data: AblationData::Named("SDSS1"),
-        eps: 0.2,
-        minpts: 4,
-    },
-    AblationWorkload {
-        id: "backend/sw1-eps0.4",
-        data: AblationData::Named("SW1"),
-        eps: 0.4,
-        minpts: 4,
-    },
-    AblationWorkload {
-        id: "backend/skx1-eps1.0",
-        data: AblationData::Named("SKX1"),
-        eps: 1.0,
-        minpts: 4,
-    },
-    AblationWorkload {
-        id: "backend/lat3-eps3.0",
-        data: AblationData::Lattice {
-            d: 3,
-            full_size: 1_000_000,
-            jitter: 0.25,
-            seed: 0x1a73,
-        },
-        eps: 3.0,
-        minpts: 4,
-    },
-    AblationWorkload {
-        id: "backend/lat4-eps2.0",
-        data: AblationData::Lattice {
-            d: 4,
-            full_size: 500_000,
-            jitter: 0.25,
-            seed: 0x1a74,
-        },
-        eps: 2.0,
-        minpts: 4,
-    },
-];
-
-/// One backend's run of one workload.
-struct BackendRun {
-    backend: IndexBackend,
-    /// What the selector resolved to ("grid"/"tree").
-    chosen: &'static str,
-    reason: &'static str,
-    cell_cv: f64,
-    mean_occupancy: f64,
-    modeled: SimDuration,
-    build_ms: f64,
-    table_fp: u64,
-    clustering_fp: u64,
-    e_b: u64,
-    n_batches: usize,
-    result_pairs: usize,
-    points: usize,
-    clusters: usize,
-}
+/// The backends each workload runs under, in row order.
+const BACKENDS: [IndexBackend; 3] = [IndexBackend::Grid, IndexBackend::Tree, IndexBackend::Auto];
 
 /// Build and cluster one workload under one backend. `build` calls
 /// `HybridDbscan::build_table` on the workload's points — 2-D or N-D,
@@ -130,7 +44,7 @@ fn run_backend(
     backend: IndexBackend,
     points: usize,
     build: impl Fn(&HybridDbscan) -> Result<TableHandle, HybridError>,
-) -> BackendRun {
+) -> WorkloadResult {
     let cfg = HybridConfig {
         backend,
         ..HybridConfig::default()
@@ -140,41 +54,58 @@ fn run_backend(
         .unwrap_or_else(|e| panic!("{} ({}): {e:?}", w.id, backend.name()));
     let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let (clustering, _) = HybridDbscan::cluster_with_table(&handle, w.minpts);
-    BackendRun {
-        backend,
-        chosen: handle.gpu.backend.chosen.name(),
-        reason: handle.gpu.backend.reason,
-        cell_cv: handle.gpu.backend.cell_cv,
-        mean_occupancy: handle.gpu.backend.mean_occupancy,
-        modeled: handle.gpu.modeled_time,
-        build_ms,
-        table_fp: table_fingerprint(&handle.table),
-        clustering_fp: clustering_fingerprint(&clustering),
-        e_b: handle.gpu.e_b,
-        n_batches: handle.gpu.n_batches,
-        result_pairs: handle.gpu.result_pairs,
-        points,
-        clusters: clustering.num_clusters() as usize,
-    }
+    let gpu = &handle.gpu;
+    let mut out = WorkloadResult {
+        id: format!("{}/{}", w.id, backend.name()),
+        scenario: "backend".to_string(),
+        dataset: match w.data {
+            AblationData::Named(name) => name.to_string(),
+            AblationData::Lattice { d, .. } => format!("LAT{d}"),
+        },
+        // The backend the selector resolved to ("grid"/"tree").
+        kernel: gpu.backend.chosen.name().to_string(),
+        eps: w.eps,
+        minpts: w.minpts as u64,
+        points: points as u64,
+        modeled_time_bits: Some(gpu.modeled_time.as_secs().to_bits()),
+        ..WorkloadResult::default()
+    };
+    out.stages
+        .insert("build_table".into(), stats::summarize(&[build_ms]));
+    out.stages.insert(
+        "modeled".into(),
+        stats::summarize(&[gpu.modeled_time.as_millis()]),
+    );
+    let m = &mut out.metrics;
+    m.insert("e_b".into(), gpu.e_b as f64);
+    m.insert("batches".into(), gpu.n_batches as f64);
+    m.insert("result_pairs".into(), gpu.result_pairs as f64);
+    m.insert("clusters".into(), clustering.num_clusters() as f64);
+    m.insert("cell_cv".into(), gpu.backend.cell_cv);
+    m.insert("mean_occupancy".into(), gpu.backend.mean_occupancy);
+    out.fingerprints
+        .insert("table".into(), table_fingerprint(&handle.table));
+    out.fingerprints
+        .insert("clustering".into(), clustering_fingerprint(&clustering));
+    out
 }
 
-/// Run one workload under all three backends, checking the cross-backend
-/// fingerprint contract. Panics on a mismatch — a wrong answer must
-/// never be timed (same policy as the shard workloads).
+/// One workload under every backend, with the modeled-time winner
+/// between the two *explicit* backends (the auto row is the selector's
+/// answer, not a contestant) recorded on each row.
 fn run_workload(
     device: &Device,
     cache: &mut DatasetCache,
     w: &AblationWorkload,
-) -> Vec<BackendRun> {
-    let backends = [IndexBackend::Grid, IndexBackend::Tree, IndexBackend::Auto];
+) -> Vec<WorkloadResult> {
     let run_all =
         |points: usize, build: &dyn Fn(&HybridDbscan) -> Result<TableHandle, HybridError>| {
-            backends
+            BACKENDS
                 .iter()
                 .map(|&b| run_backend(device, w, b, points, build))
                 .collect::<Vec<_>>()
         };
-    let runs = match w.data {
+    let mut rows = match w.data {
         AblationData::Named(name) => {
             let points = cache.get(name).points.clone();
             run_all(points.len(), &|h| h.build_table(&points, w.eps))
@@ -200,120 +131,56 @@ fn run_workload(
             }
         }
     };
-    for r in &runs[1..] {
-        assert_eq!(
-            (
-                r.table_fp,
-                r.clustering_fp,
-                r.e_b,
-                r.n_batches,
-                r.result_pairs
-            ),
-            (
-                runs[0].table_fp,
-                runs[0].clustering_fp,
-                runs[0].e_b,
-                runs[0].n_batches,
-                runs[0].result_pairs
-            ),
-            "{}: backend `{}` output diverges from `{}`",
-            w.id,
-            r.backend.name(),
-            runs[0].backend.name(),
-        );
-    }
-    runs
-}
-
-/// The modeled-time winner between the two *explicit* backends (the auto
-/// row is the selector's answer, not a contestant).
-fn winner(runs: &[BackendRun]) -> &'static str {
-    let grid = runs
-        .iter()
-        .find(|r| r.backend == IndexBackend::Grid)
-        .unwrap();
-    let tree = runs
-        .iter()
-        .find(|r| r.backend == IndexBackend::Tree)
-        .unwrap();
-    if tree.modeled.as_secs() < grid.modeled.as_secs() {
+    let modeled_s = |r: &WorkloadResult| f64::from_bits(r.modeled_time_bits.unwrap_or_default());
+    let win = if modeled_s(&rows[1]) < modeled_s(&rows[0]) {
         "tree"
     } else {
         "grid"
+    };
+    for row in &mut rows {
+        row.metrics
+            .insert("winner_is_tree".into(), f64::from(u8::from(win == "tree")));
     }
+    let auto = &mut rows[2];
+    let matched = f64::from(u8::from(auto.kernel == win));
+    auto.metrics.insert("auto_matched_winner".into(), matched);
+    rows
 }
 
-fn workload_result(w: &AblationWorkload, r: &BackendRun, win: &str) -> WorkloadResult {
-    let dataset = match w.data {
-        AblationData::Named(name) => name.to_string(),
-        AblationData::Lattice { d, .. } => format!("LAT{d}"),
-    };
-    let mut out = WorkloadResult {
-        id: format!("{}/{}", w.id, r.backend.name()),
-        scenario: "backend".to_string(),
-        dataset,
-        kernel: r.chosen.to_string(),
-        eps: w.eps,
-        minpts: w.minpts as u64,
-        points: r.points as u64,
-        ..WorkloadResult::default()
-    };
-    out.stages
-        .insert("build_table".into(), stats::summarize(&[r.build_ms]));
-    out.stages
-        .insert("modeled".into(), stats::summarize(&[r.modeled.as_millis()]));
-    out.modeled_time_bits = Some(r.modeled.as_secs().to_bits());
-    out.metrics.insert("e_b".into(), r.e_b as f64);
-    out.metrics.insert("batches".into(), r.n_batches as f64);
-    out.metrics
-        .insert("result_pairs".into(), r.result_pairs as f64);
-    out.metrics.insert("clusters".into(), r.clusters as f64);
-    out.metrics.insert("cell_cv".into(), r.cell_cv);
-    out.metrics
-        .insert("mean_occupancy".into(), r.mean_occupancy);
-    out.metrics.insert(
-        "winner_is_tree".into(),
-        if win == "tree" { 1.0 } else { 0.0 },
-    );
-    if r.backend == IndexBackend::Auto {
-        out.metrics.insert(
-            "auto_matched_winner".into(),
-            if r.chosen == win { 1.0 } else { 0.0 },
-        );
-    }
-    out
-}
-
-/// The `repro bench` backend-ablation rows: one [`WorkloadResult`] per
-/// (workload, backend). Single-trial by design — the measured quantity
-/// is the deterministic modeled time; the wall build time rides along as
-/// advisory context.
+/// The backend-ablation rows: one [`WorkloadResult`] per (workload,
+/// backend), grid, tree, auto in turn. Single-trial by design — the
+/// measured quantity is the deterministic modeled time; the wall build
+/// time rides along as advisory context.
 pub fn run_backend_workloads(opts: &Options) -> Vec<WorkloadResult> {
     let device = Device::k20c();
     let mut cache = DatasetCache::new(opts.scale);
-    let mut out = Vec::new();
-    for w in ABLATION {
-        let runs = run_workload(&device, &mut cache, w);
-        let win = winner(&runs);
-        out.extend(runs.iter().map(|r| workload_result(w, r, win)));
-    }
-    out
+    ABLATION
+        .iter()
+        .flat_map(|w| run_workload(&device, &mut cache, w))
+        .collect()
 }
 
-/// `repro backend` — the smoke entry. Returns the process exit code.
-pub fn print(opts: &Options) -> i32 {
-    let strict = std::env::var("BENCH_STRICT")
-        .map(|v| v == "1")
-        .unwrap_or(false);
-    println!("== Backend ablation: grid vs tree vs auto ε-search ==");
-    println!(
-        "{} workloads × 3 backends at scale {}; identical tables required, modeled time compared\n",
-        ABLATION.len(),
-        opts.scale
-    );
+/// Ablation rows whose table, clustering or batch plan differs from the
+/// grid row of the same workload.
+pub fn mismatches(rows: &[WorkloadResult]) -> Vec<String> {
+    ABLATION
+        .iter()
+        .flat_map(|w| {
+            let mut group = rows.iter().filter(|r| {
+                r.id.strip_prefix(w.id)
+                    .is_some_and(|backend| backend.starts_with('/'))
+            });
+            match group.next() {
+                Some(grid) => harness::mismatches(grid, group, &["e_b", "batches", "result_pairs"]),
+                None => Vec::new(),
+            }
+        })
+        .collect()
+}
 
-    let device = Device::k20c();
-    let mut cache = DatasetCache::new(opts.scale);
+/// Print the per-workload grid/tree/auto comparison of ablation rows (as
+/// [`run_backend_workloads`] orders them).
+pub fn print_table(rows: &[WorkloadResult]) {
     let mut t = TextTable::new(&[
         "Workload",
         "points",
@@ -325,57 +192,129 @@ pub fn print(opts: &Options) -> i32 {
         "cv",
         "occ",
     ]);
-    let (mut matched, mut total) = (0usize, 0usize);
-    for w in ABLATION {
-        let runs = run_workload(&device, &mut cache, w);
-        let win = winner(&runs);
-        let grid = runs
-            .iter()
-            .find(|r| r.backend == IndexBackend::Grid)
-            .unwrap();
-        let tree = runs
-            .iter()
-            .find(|r| r.backend == IndexBackend::Tree)
-            .unwrap();
-        let auto = runs
-            .iter()
-            .find(|r| r.backend == IndexBackend::Auto)
-            .unwrap();
-        total += 1;
-        if auto.chosen == win {
-            matched += 1;
-        }
+    for (w, runs) in ABLATION.iter().zip(rows.chunks(BACKENDS.len())) {
+        let (grid, tree, auto) = (&runs[0], &runs[1], &runs[2]);
+        let ok = auto.metrics["auto_matched_winner"] == 1.0;
         t.row(vec![
             w.id.to_string(),
             grid.points.to_string(),
-            format!("{:.2} ms", grid.modeled.as_millis()),
-            format!("{:.2} ms", tree.modeled.as_millis()),
-            win.to_string(),
-            format!("{} ({})", auto.chosen, auto.reason),
-            if auto.chosen == win { "yes" } else { "NO" }.to_string(),
-            format!("{:.2}", auto.cell_cv),
-            format!("{:.1}", auto.mean_occupancy),
+            format!("{:.2} ms", grid.stages["modeled"].median_ms),
+            format!("{:.2} ms", tree.stages["modeled"].median_ms),
+            if grid.metrics["winner_is_tree"] == 1.0 {
+                "tree"
+            } else {
+                "grid"
+            }
+            .to_string(),
+            auto.kernel.clone(),
+            if ok { "yes" } else { "NO" }.to_string(),
+            format!("{:.2}", auto.metrics["cell_cv"]),
+            format!("{:.1}", auto.metrics["mean_occupancy"]),
         ]);
     }
     t.print();
+}
 
-    let rate = matched as f64 / total as f64;
+/// The ablation's gate: a row that does not reproduce its grid row is
+/// always fatal; an auto selector that matches the modeled winner on
+/// fewer than [`AUTO_MATCH_FLOOR`] of the workloads fails only under
+/// `BENCH_STRICT=1`.
+fn findings(rows: &[WorkloadResult]) -> Findings {
+    let auto: Vec<f64> = rows
+        .iter()
+        .filter_map(|r| r.metrics.get("auto_matched_winner").copied())
+        .collect();
+    let matched = auto.iter().filter(|&&m| m == 1.0).count();
+    let rate = matched as f64 / auto.len().max(1) as f64;
     println!(
-        "\n# auto selector matched the modeled winner on {matched}/{total} workloads ({:.0}%)",
+        "\n# auto selector matched the modeled winner on {matched}/{} workloads ({:.0}%)",
+        auto.len(),
         rate * 100.0
     );
+    let mut findings = Findings {
+        fatal: mismatches(rows),
+        ..Findings::default()
+    };
     if rate < AUTO_MATCH_FLOOR {
-        if strict {
-            eprintln!(
-                "# backend: auto match rate below {:.0}% (BENCH_STRICT=1 — failing)",
-                AUTO_MATCH_FLOOR * 100.0
-            );
-            return 1;
-        }
-        eprintln!(
-            "# backend: auto match rate below {:.0}% (advisory; set BENCH_STRICT=1 to enforce)",
+        findings.strict.push(format!(
+            "auto match rate below {:.0}%",
             AUTO_MATCH_FLOOR * 100.0
-        );
+        ));
     }
-    0
+    findings
+}
+
+/// `repro backend` — the smoke entry. Returns the process exit code.
+pub fn print(opts: &Options) -> i32 {
+    println!("== Backend ablation: grid vs tree vs auto ε-search ==");
+    println!(
+        "{} workloads × 3 backends at scale {}; identical tables required, modeled time compared\n",
+        ABLATION.len(),
+        opts.scale
+    );
+
+    let rows = run_backend_workloads(opts);
+    print_table(&rows);
+    let findings = findings(&rows);
+    let doc = harness::bench_doc(opts, 1, 0, rows);
+    harness::finish(
+        opts,
+        "backend",
+        Some("BENCH_STRICT"),
+        "BENCH_backend.json",
+        &doc,
+        findings,
+    )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Every backend gives the grid's answer on a real (tiny) run, and a
+    /// row whose table or batch plan differs is named.
+    #[test]
+    fn backends_agree_and_a_divergent_row_is_named() {
+        let opts = Options {
+            scale: 0.002,
+            ..Options::default()
+        };
+        let mut rows = run_backend_workloads(&opts);
+        assert_eq!(rows.len(), BACKENDS.len() * ABLATION.len());
+        assert!(mismatches(&rows).is_empty(), "{:?}", mismatches(&rows));
+        for auto in rows.iter().skip(2).step_by(3) {
+            assert!(auto.id.ends_with("/auto"), "{}", auto.id);
+            assert!(auto.metrics.contains_key("auto_matched_winner"));
+        }
+
+        *rows[1].fingerprints.get_mut("table").unwrap() ^= 1;
+        *rows.last_mut().unwrap().metrics.get_mut("e_b").unwrap() += 1.0;
+        let found = mismatches(&rows);
+        assert_eq!(found.len(), 2, "{found:?}");
+        assert!(found[0].starts_with("backend/sdss1-eps0.2/tree: table differ"));
+        assert!(found[1].starts_with("backend/lat4-eps2.0/auto: e_b differ"));
+        // A cross-backend mismatch is always fatal.
+        assert_eq!(findings(&rows).fatal, found);
+    }
+
+    /// Auto rows matching the winner on `matched` of five workloads.
+    fn auto_rows(matched: usize) -> Vec<WorkloadResult> {
+        (0..5)
+            .map(|i| {
+                let mut r = WorkloadResult::default();
+                let hit = f64::from(u8::from(i < matched));
+                r.metrics.insert("auto_matched_winner".into(), hit);
+                r
+            })
+            .collect()
+    }
+
+    #[test]
+    fn auto_match_floor_is_a_strict_only_finding() {
+        assert!(findings(&auto_rows(5)).strict.is_empty());
+        // 4/5 = 80% is below the 90% floor: fatal only under BENCH_STRICT.
+        let f = findings(&auto_rows(4));
+        assert!(f.fatal.is_empty());
+        assert_eq!(f.strict, ["auto match rate below 90%"]);
+    }
 }

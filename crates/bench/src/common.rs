@@ -145,19 +145,10 @@ impl Options {
     /// `--metrics`) from `rec`.
     pub fn write_observability(&self, rec: &Recorder) {
         if let Some(path) = &self.trace {
-            match std::fs::write(path, rec.chrome_trace_json()) {
-                Ok(()) => eprintln!(
-                    "# trace: wrote {} (open with https://ui.perfetto.dev)",
-                    path.display()
-                ),
-                Err(e) => eprintln!("# trace: cannot write {}: {e}", path.display()),
-            }
+            write_file("trace", path, &rec.chrome_trace_json());
         }
         if let Some(path) = &self.metrics {
-            match std::fs::write(path, rec.metrics_json()) {
-                Ok(()) => eprintln!("# metrics: wrote {}", path.display()),
-                Err(e) => eprintln!("# metrics: cannot write {}: {e}", path.display()),
-            }
+            write_file("metrics", path, &rec.metrics_json());
         }
     }
 
@@ -168,6 +159,20 @@ impl Options {
             Some(dir) => Ledger::at(dir.clone()),
             None => Ledger::default_location(),
         }
+    }
+
+    /// Write a run's artifact `file` (under `--csv DIR`, else the working
+    /// directory). I/O failures are reported, not fatal.
+    pub fn write_artifact(&self, command: &str, file: &str, text: &str) {
+        let path = self
+            .csv_dir
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("."))
+            .join(file);
+        if let Some(dir) = path.parent() {
+            let _ = std::fs::create_dir_all(dir);
+        }
+        write_file(command, &path, text);
     }
 
     /// Append `record` to the run ledger. I/O failures are reported, not
@@ -181,6 +186,16 @@ impl Options {
             ),
             Err(e) => eprintln!("# ledger: cannot append: {e}"),
         }
+    }
+}
+
+/// Write `text` to `path` and say so on stderr under `label`. I/O
+/// failures are reported, not fatal — an artifact must never take down
+/// the run that measured it.
+fn write_file(label: &str, path: &std::path::Path, text: &str) {
+    match std::fs::write(path, text) {
+        Ok(()) => eprintln!("# {label}: wrote {}", path.display()),
+        Err(e) => eprintln!("# {label}: cannot write {}: {e}", path.display()),
     }
 }
 
@@ -293,12 +308,9 @@ impl TextTable {
 impl Options {
     /// Write experiment rows as `<name>.csv` under `--csv`, if requested.
     pub fn write_csv(&self, name: &str, header: &[&str], rows: &[Vec<String>]) {
-        let Some(dir) = &self.csv_dir else { return };
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            eprintln!("# csv: cannot create {}: {e}", dir.display());
+        if self.csv_dir.is_none() {
             return;
         }
-        let path = dir.join(format!("{name}.csv"));
         let mut out = String::new();
         out.push_str(&header.join(","));
         out.push('\n');
@@ -306,10 +318,7 @@ impl Options {
             out.push_str(&row.join(","));
             out.push('\n');
         }
-        match std::fs::write(&path, out) {
-            Ok(()) => eprintln!("# csv: wrote {}", path.display()),
-            Err(e) => eprintln!("# csv: cannot write {}: {e}", path.display()),
-        }
+        self.write_artifact("csv", &format!("{name}.csv"), &out);
     }
 }
 

@@ -13,6 +13,7 @@ pub mod figure3;
 pub mod figure4;
 pub mod figure5;
 pub mod figure6;
+pub mod harness;
 pub mod micro;
 pub mod profile;
 pub mod regress;
@@ -20,7 +21,6 @@ pub mod report;
 pub mod scenarios;
 pub mod schedule;
 pub mod shard;
-pub mod stats;
 pub mod table1;
 pub mod table2;
 pub mod threads;

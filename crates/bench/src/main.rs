@@ -14,9 +14,11 @@
 //!   figure6   reuse speedup over per-variant reference, S3
 //!   schedule  Gantt chart of the overlapped 3-stream batch schedule
 //!   threads   host-pool scaling sweep on S1 (writes BENCH_threads.json)
-//!   shard     sharded-vs-unsharded fingerprint smoke (fatal on mismatch)
+//!   shard     sharded-vs-unsharded fingerprint smoke (fatal on mismatch;
+//!             writes SHARD_fingerprints.json)
 //!   backend   grid/tree/auto ε-search ablation smoke (fatal on table
-//!             mismatch; auto-selector accuracy gated by BENCH_STRICT=1)
+//!             mismatch; auto-selector accuracy gated by BENCH_STRICT=1;
+//!             writes BENCH_backend.json)
 //!   bench     continuous-benchmark suite with regression gating
 //!             (writes BENCH_suite.json; --compare <baseline.json>)
 //!   profile   suite workloads under the pool profiler at 1/2/4/8
@@ -62,7 +64,7 @@ fn main() {
     };
     if cmd == "--help" || cmd == "-h" || cmd == "help" {
         println!(
-            "repro <table1|table2|figure2|figure3|figure4|figure5|figure6|schedule|threads|shard|backend|bench|profile|report|ablations|all>\n      [--scale X] [--datasets A,B] [--trials N] [--warmup N] [--quick] [--csv DIR]\n      [--trace [FILE]] [--metrics [FILE]] [--compare BASELINE] [--ledger DIR]\n\n--trace writes a Chrome trace-event JSON (default trace.json; open with\nhttps://ui.perfetto.dev); --metrics writes a metrics snapshot JSON\n(default metrics.json). Instrumented experiments: table2, figure4,\nschedule, profile.\n\nthreads sweeps the rayon pool over {{1, 2, 4, all}} on the S1 workload and\nwrites BENCH_threads.json (set the process-wide default pool size with\nRAYON_NUM_THREADS).\n\nbench runs the fixed S1/S2/S3 benchmark suite (--warmup untimed runs,\nthen --trials timed trials per workload) and writes BENCH_suite.json\n(median/MAD/IQR per stage plus device counters). --compare BASELINE\nflags stages whose median regressed beyond the baseline's noise\nthreshold; advisory unless BENCH_STRICT=1. Baselines live under\nresults/baselines/ (see DESIGN.md, \"Benchmark methodology\").\n\nprofile runs each suite workload under the pool profiler at 1/2/4/8\nthreads and writes PROFILE.json: per-stage serial fraction and Amdahl\nmax speedup, per-worker utilization, dispatch hotspots, device critical\npath. Exits nonzero if profiling perturbs modeled time bits (the\ndeterminism policy) or PROFILE.json fails round-trip validation.\n\nbench/threads/profile/shard append one provenance-stamped record per\nrun to the run ledger (results/ledger/ or --ledger DIR). report loads\nthe ledger, runs cross-run step/bits-change detection, and writes the\nREPORT.html dashboard; trend regressions are advisory unless\nTREND_STRICT=1. Set LEDGER_BASELINE_REFRESH=1 on a run that\nintentionally changes modeled time bits."
+            "repro <table1|table2|figure2|figure3|figure4|figure5|figure6|schedule|threads|shard|backend|bench|profile|report|ablations|all>\n      [--scale X] [--datasets A,B] [--trials N] [--warmup N] [--quick] [--csv DIR]\n      [--trace [FILE]] [--metrics [FILE]] [--compare BASELINE] [--ledger DIR]\n\n--trace writes a Chrome trace-event JSON (default trace.json; open with\nhttps://ui.perfetto.dev); --metrics writes a metrics snapshot JSON\n(default metrics.json). Instrumented experiments: table2, figure4,\nschedule, profile.\n\nthreads sweeps the rayon pool over {{1, 2, 4, all}} on the S1 workload and\nwrites BENCH_threads.json (set the process-wide default pool size with\nRAYON_NUM_THREADS).\n\nbench runs the fixed S1/S2/S3 benchmark suite (--warmup untimed runs,\nthen --trials timed trials per workload) and writes BENCH_suite.json\n(median/MAD/IQR per stage plus device counters). --compare BASELINE\nflags stages whose median regressed beyond the baseline's noise\nthreshold; advisory unless BENCH_STRICT=1. Baselines live under\nresults/baselines/ (see DESIGN.md, \"Benchmark methodology\").\n\nprofile runs each suite workload under the pool profiler at 1/2/4/8\nthreads and writes PROFILE.json: per-stage serial fraction and Amdahl\nmax speedup, per-worker utilization, dispatch hotspots, device critical\npath. Exits nonzero if profiling perturbs modeled time bits (the\ndeterminism policy) or PROFILE.json fails round-trip validation.\n\nshard compares sharded against unsharded fingerprints (writes\nSHARD_fingerprints.json); backend runs the grid/tree/auto ablation\n(writes BENCH_backend.json; auto-selector floor fatal only under\nBENCH_STRICT=1). Both exit nonzero on any fingerprint mismatch.\n\nbench/threads/profile/shard/backend share one harness: each checks its\nartifact round-trips, appends exactly one provenance-stamped record to\nthe run ledger (results/ledger/ or --ledger DIR), then writes the\nartifact (under --csv DIR, else .). report loads the ledger, runs\ncross-run step/bits-change detection per command, workload and scale,\nand writes the REPORT.html dashboard; trend regressions are advisory\nunless TREND_STRICT=1. Set LEDGER_BASELINE_REFRESH=1 on a run that\nintentionally changes modeled time bits."
         );
         return;
     }

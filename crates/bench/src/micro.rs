@@ -20,21 +20,20 @@
 //! the micro rows when refreshed per DESIGN.md §10.
 
 use crate::common::DatasetCache;
-use crate::stats;
+use crate::harness::{suite_row, S1_ROW};
 use gpu_sim::memory::DeviceAppendBuffer;
 use gpu_sim::Device;
 use hybrid_dbscan_core::kernels::{GpuCalcGlobal, GpuCalcShared, NeighborPair};
 use hybrid_dbscan_core::table::NeighborTableBuilder;
 use obs::bench::WorkloadResult;
+use obs::stats;
 use spatial::presort::spatial_sort;
 use spatial::{GridIndex, GridLayout, PointStore};
 use std::time::Instant;
 
 /// Compare key of the micro workload (stable across PRs, like suite ids).
+/// Its dataset and ε are the S1 row's ([`crate::harness::S1_ROW`]).
 pub const MICRO_ID: &str = "micro/sw1-eps0.2";
-/// Dataset and ε: the S1 headline configuration.
-pub const MICRO_DATASET: &str = "SW1";
-pub const MICRO_EPS: f64 = 0.2;
 
 /// The stages a micro workload reports (all wall-clock/advisory).
 pub const MICRO_STAGES: &[&str] = &[
@@ -53,8 +52,9 @@ pub fn run_micro(
     warmup: usize,
     trials: usize,
 ) -> WorkloadResult {
-    let data = spatial_sort(&cache.get(MICRO_DATASET).points);
-    let eps = MICRO_EPS;
+    let s1 = suite_row(S1_ROW);
+    let data = spatial_sort(&cache.get(s1.dataset).points);
+    let eps = s1.eps;
     let trials = trials.max(1);
 
     // Shared fixtures for the kernel and ingest stages (built once; their
@@ -131,12 +131,9 @@ pub fn run_micro(
     let mut out = WorkloadResult {
         id: MICRO_ID.to_string(),
         scenario: "micro".to_string(),
-        dataset: MICRO_DATASET.to_string(),
         kernel: "both".to_string(),
-        eps,
         minpts: 0,
-        points: data.len() as u64,
-        ..WorkloadResult::default()
+        ..s1.result(data.len())
     };
     for (stage, samples) in &ms {
         out.stages

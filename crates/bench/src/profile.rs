@@ -10,24 +10,68 @@
 //! pins the policy that instrumentation must not move modeled time bits.
 //! Any bit mismatch — or a `PROFILE.json` that fails its own round-trip
 //! validation — exits nonzero, which is what CI hangs its smoke test on.
+//! The gate, the ledger record and the write go through
+//! [`crate::harness::finish`]; `PROFILE.json` stays a
+//! [`obs::analyze::ProfileDoc`], because its worker and hotspot diagnosis
+//! has no `BenchDoc` form.
 
-use crate::common::{baseline_refresh, DatasetCache, Options, TextTable};
-use crate::regress::{kernel_name, Workload, SUITE};
+use crate::common::{DatasetCache, Options, TextTable};
+use crate::harness::{self, kernel_name, Findings, Workload, SUITE};
 use gpu_sim::Device;
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use obs::analyze::{analyze, ProfileDoc, ProfileRun, SCHEMA, SCHEMA_VERSION};
-use obs::ledger::{GateOutcome, LedgerEntry, LedgerRecord, StagePoint, RECORD_VERSION};
 use obs::provenance::Provenance;
 use obs::Recorder;
+use spatial::Point2;
 use std::sync::Arc;
 
 /// Thread counts each workload is profiled at (capped sweeps would hide
 /// the scaling story the diagnosis exists to tell).
 pub const THREAD_COUNTS: &[usize] = &[1, 2, 4, 8];
 
-/// Profile one workload at one pool width. Returns the run record plus
-/// the recorder (so the caller can export `--trace`/`--metrics` for the
-/// final run).
+fn config(w: &Workload) -> HybridConfig {
+    HybridConfig {
+        kernel: w.kernel,
+        ..HybridConfig::default()
+    }
+}
+
+/// One profiled run of `w` on `pool`: the full pipeline with recorder
+/// spans and a pool-profiler session. `reference_bits` are the modeled
+/// time bits of an unprofiled run of the same row; the run records
+/// whether profiling reproduced them. Returns the run record plus the
+/// recorder (so the caller can export `--trace`/`--metrics`). `repro
+/// threads` calls this for its attribution columns.
+pub fn profiled_run(
+    device: &Device,
+    points: &[Point2],
+    w: &Workload,
+    pool: &rayon::ThreadPool,
+    reference_bits: u64,
+) -> (ProfileRun, Arc<Recorder>) {
+    let rec = Arc::new(Recorder::new());
+    let hybrid = HybridDbscan::new(device, config(w)).with_recorder(rec.clone());
+    let session = rayon::profile::profile_pool();
+    let result = pool.install(|| hybrid.run(points, w.eps, w.minpts).expect("profiled run"));
+    let pool_profile = session.finish();
+    rec.record_pool_profile(&pool_profile);
+
+    let bits = result.gpu.modeled_time.as_secs().to_bits();
+    let run = ProfileRun {
+        workload: w.id.to_string(),
+        scenario: w.scenario.to_string(),
+        kernel: kernel_name(w.kernel).to_string(),
+        threads: pool.current_num_threads() as u64,
+        modeled_ms: result.gpu.modeled_time.as_millis(),
+        modeled_time_bits: bits,
+        bits_match_unprofiled: bits == reference_bits,
+        ..ProfileRun::from_analysis(&analyze(&rec))
+    };
+    (run, rec)
+}
+
+/// Profile one workload at one pool width: an unprofiled reference run
+/// (the modeled-bits sentinel), then [`profiled_run`].
 fn profile_workload(
     device: &Device,
     cache: &mut DatasetCache,
@@ -35,55 +79,37 @@ fn profile_workload(
     threads: usize,
 ) -> (ProfileRun, Arc<Recorder>) {
     let points = cache.get(w.dataset).points.clone();
-    let cfg = HybridConfig {
-        kernel: w.kernel,
-        ..HybridConfig::default()
-    };
     let pool = rayon::ThreadPoolBuilder::new()
         .num_threads(threads)
         .build()
         .expect("pool view");
-
-    // Unprofiled reference: the modeled-bits sentinel the profiled run
-    // must reproduce exactly.
-    let reference = HybridDbscan::new(device, cfg);
-    let bits_off = pool.install(|| {
+    let reference = HybridDbscan::new(device, config(w));
+    let bits = pool.install(|| {
         let result = reference
             .run(&points, w.eps, w.minpts)
             .expect("reference run");
         result.gpu.modeled_time.as_secs().to_bits()
     });
-
-    // Profiled run: recorder spans + pool session.
-    let rec = Arc::new(Recorder::new());
-    let hybrid = HybridDbscan::new(device, cfg).with_recorder(rec.clone());
-    let session = rayon::profile::profile_pool();
-    let result = pool.install(|| hybrid.run(&points, w.eps, w.minpts).expect("profiled run"));
-    let pool_profile = session.finish();
-    rec.record_pool_profile(&pool_profile);
-
-    let bits_on = result.gpu.modeled_time.as_secs().to_bits();
-    let run = ProfileRun {
-        workload: w.id.to_string(),
-        scenario: w.scenario.to_string(),
-        kernel: kernel_name(w.kernel).to_string(),
-        threads: threads as u64,
-        modeled_ms: result.gpu.modeled_time.as_millis(),
-        modeled_time_bits: bits_on,
-        bits_match_unprofiled: bits_on == bits_off,
-        ..ProfileRun::from_analysis(&analyze(&rec))
-    };
-    (run, rec)
+    profiled_run(device, &points, w, &pool, bits)
 }
 
-/// Stage lookup helper for the summary table.
-fn stage<'a>(run: &'a ProfileRun, name: &str) -> Option<&'a obs::analyze::StageAnalysis> {
-    run.stages.iter().find(|s| s.name == name)
+/// The profile's gate: any run whose profiled modeled bits differ from
+/// the unprofiled reference is fatal (determinism policy).
+fn findings(doc: &ProfileDoc) -> Findings {
+    let mismatches = doc.runs.iter().filter(|r| !r.bits_match_unprofiled).count();
+    Findings {
+        fatal: (mismatches > 0)
+            .then(|| format!("DETERMINISM VIOLATION — {mismatches} run(s) changed modeled bits"))
+            .into_iter()
+            .collect(),
+        ..Findings::default()
+    }
 }
 
-/// Run the profiling sweep, print the diagnosis, write `PROFILE.json`.
-/// Returns the process exit code: nonzero when profiling perturbed
-/// modeled time bits or the emitted document failed validation.
+/// Run the profiling sweep, print the diagnosis, and finish (ledger
+/// record, then `PROFILE.json`). Returns the process exit code: nonzero
+/// when profiling perturbed modeled time bits or the emitted document
+/// failed validation.
 pub fn print(opts: &Options) -> i32 {
     println!("== Scaling profile: suite workloads under the pool profiler ==");
     println!(
@@ -125,24 +151,15 @@ pub fn print(opts: &Options) -> i32 {
         "bits ok",
     ]);
     for run in &doc.runs {
-        let build = stage(run, "build_table");
-        let mean_util = if run.workers.is_empty() {
-            0.0
-        } else {
-            run.workers.iter().map(|w| w.utilization_pct).sum::<f64>() / run.workers.len() as f64
-        };
+        let build = run.stages.iter().find(|s| s.name == "build_table");
         t.row(vec![
             run.workload.clone(),
             run.threads.to_string(),
             build.map_or("-".into(), |s| format!("{:.1} ms", s.wall_ms)),
             build.map_or("-".into(), |s| format!("{:.2}", s.serial_fraction)),
             build.map_or("-".into(), |s| format!("{:.1}x", s.amdahl_max_speedup)),
-            format!("{mean_util:.0}%"),
-            run.workers
-                .iter()
-                .map(|w| w.steals)
-                .sum::<u64>()
-                .to_string(),
+            format!("{:.0}%", run.mean_utilization_pct().unwrap_or(0.0)),
+            run.steals().to_string(),
             if run.bits_match_unprofiled {
                 "yes".into()
             } else {
@@ -151,7 +168,6 @@ pub fn print(opts: &Options) -> i32 {
         ]);
     }
     t.print();
-
     // Full diagnosis for the S1 workload at the widest pool — the run a
     // scaling investigation reads first.
     if let Some(run) = doc
@@ -192,126 +208,12 @@ pub fn print(opts: &Options) -> i32 {
         }
     }
 
-    let mismatches = doc.runs.iter().filter(|r| !r.bits_match_unprofiled).count();
-    if mismatches > 0 {
-        eprintln!("# profile: DETERMINISM VIOLATION — {mismatches} run(s) changed modeled bits");
-    }
-
-    // Self-validation: the document must reparse through the shared JSON
-    // layer and re-emit byte-identically, like BENCH_suite.json.
-    let json = doc.to_json();
-    let valid = match ProfileDoc::parse(&json) {
-        Ok(parsed) if parsed.to_json() == json => true,
-        Ok(_) => {
-            eprintln!("# profile: PROFILE.json is not a round-trip fixed point");
-            false
-        }
-        Err(e) => {
-            eprintln!("# profile: emitted PROFILE.json failed to parse: {e}");
-            false
-        }
-    };
-
-    // Ledger first, artifact second: PROFILE.json is clobbered by every
-    // run, so the per-run history must be appended before the overwrite.
-    // The determinism check is always enforced (strict), never advisory.
-    let gate = GateOutcome {
-        strict: true,
-        regressions: mismatches as u64 + u64::from(!valid),
-        advisories: 0,
-        passed: mismatches == 0 && valid,
-    };
-    opts.append_ledger(&ledger_record(&doc, gate, opts));
-
-    let path = opts
-        .csv_dir
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("."))
-        .join("PROFILE.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, &json) {
-        Ok(()) => eprintln!("# profile: wrote {}", path.display()),
-        Err(e) => eprintln!("# profile: cannot write {}: {e}", path.display()),
-    }
+    let findings = findings(&doc);
+    let code = harness::finish(opts, "profile", None, "PROFILE.json", &doc, findings);
     if let Some(rec) = &last_rec {
         opts.write_observability(rec);
     }
-
-    if mismatches > 0 || !valid {
-        1
-    } else {
-        0
-    }
-}
-
-/// Fold the profiling sweep into one run-ledger record: one entry per
-/// workload × thread count, profiled stage wall times + the modeled
-/// stage, attribution metrics, and the (always-strict) determinism gate.
-fn ledger_record(doc: &ProfileDoc, gate: GateOutcome, opts: &Options) -> LedgerRecord {
-    let entries = doc
-        .runs
-        .iter()
-        .map(|run| {
-            let mut e = LedgerEntry {
-                workload: format!("profile/{}/t{}", run.workload, run.threads),
-                modeled_time_bits: Some(run.modeled_time_bits),
-                ..LedgerEntry::default()
-            };
-            for s in &run.stages {
-                e.stages.insert(
-                    s.name.clone(),
-                    StagePoint {
-                        median_ms: s.wall_ms,
-                        mad_ms: 0.0,
-                        wall: true,
-                    },
-                );
-            }
-            e.stages.insert(
-                "modeled".into(),
-                StagePoint {
-                    median_ms: run.modeled_ms,
-                    mad_ms: 0.0,
-                    wall: false,
-                },
-            );
-            let m = &mut e.metrics;
-            m.insert("threads".into(), run.threads as f64);
-            if !run.workers.is_empty() {
-                m.insert(
-                    "worker_util_pct".into(),
-                    run.workers.iter().map(|w| w.utilization_pct).sum::<f64>()
-                        / run.workers.len() as f64,
-                );
-                m.insert(
-                    "pool_steals".into(),
-                    run.workers.iter().map(|w| w.steals).sum::<u64>() as f64,
-                );
-            }
-            if let Some(b) = run.stages.iter().find(|s| s.name == "build_table") {
-                m.insert("serial_fraction_build".into(), b.serial_fraction);
-            }
-            m.insert(
-                "bits_match_unprofiled".into(),
-                f64::from(u8::from(run.bits_match_unprofiled)),
-            );
-            e
-        })
-        .collect();
-    LedgerRecord {
-        version: RECORD_VERSION,
-        command: "profile".into(),
-        scale: opts.scale,
-        baseline_refresh: baseline_refresh(),
-        provenance: doc
-            .provenance
-            .clone()
-            .unwrap_or_else(|| Provenance::collect(SCHEMA, doc.version, Vec::new())),
-        gate,
-        entries,
-    }
+    code
 }
 
 #[cfg(test)]
@@ -335,5 +237,22 @@ mod tests {
         assert!(!run.diagnosis.is_empty());
         // The device schedule always yields a critical path.
         assert!(!run.critical_path.is_empty());
+    }
+
+    #[test]
+    fn perturbed_bits_are_fatal() {
+        let run = |ok| ProfileRun {
+            bits_match_unprofiled: ok,
+            ..ProfileRun::default()
+        };
+        let mut doc = ProfileDoc {
+            runs: vec![run(true), run(true)],
+            ..ProfileDoc::default()
+        };
+        assert!(findings(&doc).fatal.is_empty());
+        doc.runs[1] = run(false);
+        let f = findings(&doc);
+        assert_eq!(f.fatal.len(), 1, "{f:?}");
+        assert_eq!(harness::gate("profile", None, &f).1, 1);
     }
 }

@@ -18,78 +18,18 @@
 //! advisory drift — on a shared machine they can move 2× with load, so
 //! they inform but never gate. See DESIGN.md, "Benchmark methodology &
 //! regression policy".
+//!
+//! The suite's rows, gate and ledger record come from [`crate::harness`];
+//! this module runs the S1/S2/S3 rows and owns the baseline comparison.
 
-use crate::common::{baseline_refresh, DatasetCache, Options, TextTable};
-use crate::stats;
+use crate::common::{DatasetCache, Options, TextTable};
+use crate::harness::{self, is_wall_stage, kernel_name, timed_trial, Findings, Workload, SUITE};
 use gpu_sim::Device;
-use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
-use obs::bench::{BenchDoc, StageStats, WorkloadResult, SCHEMA_VERSION};
-use obs::ledger::{GateOutcome, LedgerEntry, LedgerRecord, StagePoint, RECORD_VERSION};
-use obs::provenance::Provenance;
+use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
+use obs::bench::{BenchDoc, StageStats, WorkloadResult};
+use obs::stats;
 use obs::Recorder;
 use std::sync::Arc;
-use std::time::Instant;
-
-/// One suite entry. The id is the compare key and must stay stable across
-/// PRs; retire ids rather than repurposing them.
-#[derive(Debug, Clone, Copy)]
-pub struct Workload {
-    pub id: &'static str,
-    pub scenario: &'static str,
-    pub dataset: &'static str,
-    pub eps: f64,
-    pub minpts: usize,
-    pub kernel: KernelChoice,
-}
-
-/// The fixed suite: the Table II kernel pairing (S1), the low end of the
-/// SW4 multi-clustering sweep (S2), and a table-reuse row (S3). Chosen to
-/// cover both kernels, both dataset families (uniform SDSS / skewed SW),
-/// and a high-minpts clustering, while staying a few minutes at the
-/// default `--scale`.
-pub const SUITE: &[Workload] = &[
-    Workload {
-        id: "s1/sw1-eps0.2/global",
-        scenario: "S1",
-        dataset: "SW1",
-        eps: 0.2,
-        minpts: 4,
-        kernel: KernelChoice::Global,
-    },
-    Workload {
-        id: "s1/sw1-eps0.2/shared",
-        scenario: "S1",
-        dataset: "SW1",
-        eps: 0.2,
-        minpts: 4,
-        kernel: KernelChoice::Shared,
-    },
-    Workload {
-        id: "s2/sw4-eps0.1/global",
-        scenario: "S2",
-        dataset: "SW4",
-        eps: 0.1,
-        minpts: 4,
-        kernel: KernelChoice::Global,
-    },
-    Workload {
-        id: "s3/sdss1-eps0.2-minpts40/global",
-        scenario: "S3",
-        dataset: "SDSS1",
-        eps: 0.2,
-        minpts: 40,
-        kernel: KernelChoice::Global,
-    },
-];
-
-/// Stable JSON/display name of a kernel variant (shared with `repro
-/// profile`, whose documents must use the same ids as the bench suite).
-pub fn kernel_name(k: KernelChoice) -> &'static str {
-    match k {
-        KernelChoice::Global => "global",
-        KernelChoice::Shared => "shared",
-    }
-}
 
 /// Run one workload: `warmup` discarded runs, then `trials` timed runs.
 fn run_workload(
@@ -111,29 +51,16 @@ fn run_workload(
     let mut build_ms = Vec::with_capacity(trials);
     let mut dbscan_ms = Vec::with_capacity(trials);
     let mut modeled_ms = Vec::with_capacity(trials);
-    let mut out = WorkloadResult {
-        id: w.id.to_string(),
-        scenario: w.scenario.to_string(),
-        dataset: w.dataset.to_string(),
-        kernel: kernel_name(w.kernel).to_string(),
-        eps: w.eps,
-        minpts: w.minpts as u64,
-        points: points.len() as u64,
-        ..WorkloadResult::default()
-    };
+    let mut out = w.result(points.len());
 
     for i in 0..warmup + trials {
-        let t0 = Instant::now();
-        let handle = hybrid.build_table(&points, w.eps).expect("build_table");
-        let build = t0.elapsed().as_secs_f64() * 1e3;
-
-        let (clustering, dbscan_time) = HybridDbscan::cluster_with_table(&handle, w.minpts);
-
+        let trial = timed_trial(&hybrid, &points, w);
         if i < warmup {
             continue;
         }
-        build_ms.push(build);
-        dbscan_ms.push(dbscan_time.as_secs_f64() * 1e3);
+        let (handle, clustering) = (&trial.handle, &trial.clustering);
+        build_ms.push(trial.build_ms);
+        dbscan_ms.push(trial.dbscan_ms);
         modeled_ms.push(handle.gpu.modeled_time.as_millis());
         // Exact bit pattern of the modeled seconds: the determinism
         // witness the ledger/trend layer tracks across runs.
@@ -191,41 +118,19 @@ pub fn run_suite(opts: &Options) -> BenchDoc {
         opts.warmup,
         opts.trials,
     ));
-    // Shard-scaling rows at 10× the suite scale (ISSUE 8): unsharded
-    // baseline, 2-shard concurrent speedup, 4-shard out-of-core under a
-    // device limit the unsharded build exceeds.
+    // Shard-scaling rows at 10× the suite scale: unsharded baseline,
+    // 2-shard concurrent speedup, 4-shard out-of-core under a device
+    // limit the unsharded build exceeds.
     workloads.extend(crate::shard::run_shard_workloads(opts));
-    // Backend-ablation rows (ISSUE 10): every ablation workload under
-    // grid, tree, and auto ε-search, fingerprint-checked cross-backend.
+    // Backend-ablation rows: every ablation workload under grid, tree,
+    // and auto ε-search, fingerprint-checked cross-backend.
     workloads.extend(crate::backend_ablation::run_backend_workloads(opts));
-    let workload_ids = workloads.iter().map(|w| w.id.clone()).collect();
-    BenchDoc {
-        version: SCHEMA_VERSION,
-        scale: opts.scale,
-        trials: opts.trials.max(1) as u64,
-        warmup: opts.warmup as u64,
-        host_threads: rayon::current_num_threads() as u64,
-        provenance: Some(Provenance::collect(
-            obs::bench::SCHEMA,
-            SCHEMA_VERSION,
-            workload_ids,
-        )),
-        workloads,
-    }
+    harness::bench_doc(opts, opts.trials, opts.warmup, workloads)
 }
 
 // ---------------------------------------------------------------------
 // Regression gating
 // ---------------------------------------------------------------------
-
-/// Stages measured in host wall-clock time. Their medians move with
-/// machine load (a shared CI box can drift 2× between back-to-back
-/// runs), so their deltas are reported but never gate — only the
-/// deterministic modeled stage does, the same reason rustc-perf gates on
-/// instruction counts rather than wall time.
-pub fn is_wall_stage(stage: &str) -> bool {
-    stage != "modeled"
-}
 
 /// Per-stage noise threshold (milliseconds) derived from the baseline.
 ///
@@ -234,6 +139,11 @@ pub fn is_wall_stage(stage: &str) -> bool {
 /// stage's measured run-to-run noise; the relative and absolute floors
 /// keep single-trial baselines (MAD = 0) and microsecond-scale stages
 /// from flagging jitter.
+///
+/// Wall-clock medians move with machine load (a shared CI box can drift
+/// 2× between back-to-back runs), so their deltas are reported but never
+/// gate — only the deterministic modeled stage does, the same reason
+/// rustc-perf gates on instruction counts rather than wall time.
 ///
 /// The modeled stage is deterministic (bitwise identical across runs and
 /// thread counts by the determinism policy), so its threshold is only
@@ -347,47 +257,6 @@ pub fn compare(baseline: &BenchDoc, current: &BenchDoc) -> CompareReport {
     report
 }
 
-/// Fold a suite run into one run-ledger record (per-workload stage
-/// medians/MAD, modeled bits, scalar metrics, and the gate outcome).
-pub fn ledger_record(doc: &BenchDoc, gate: GateOutcome) -> LedgerRecord {
-    let entries = doc
-        .workloads
-        .iter()
-        .map(|wl| {
-            let mut e = LedgerEntry {
-                workload: wl.id.clone(),
-                modeled_time_bits: wl.modeled_time_bits,
-                ..LedgerEntry::default()
-            };
-            for (stage, s) in &wl.stages {
-                e.stages.insert(
-                    stage.clone(),
-                    StagePoint {
-                        median_ms: s.median_ms,
-                        mad_ms: s.mad_ms,
-                        wall: is_wall_stage(stage),
-                    },
-                );
-            }
-            e.metrics
-                .extend(wl.metrics.iter().map(|(k, v)| (k.clone(), *v)));
-            e
-        })
-        .collect();
-    LedgerRecord {
-        version: RECORD_VERSION,
-        command: "bench".into(),
-        scale: doc.scale,
-        baseline_refresh: baseline_refresh(),
-        provenance: doc
-            .provenance
-            .clone()
-            .unwrap_or_else(|| Provenance::collect(obs::bench::SCHEMA, doc.version, Vec::new())),
-        gate,
-        entries,
-    }
-}
-
 // ---------------------------------------------------------------------
 // CLI entry
 // ---------------------------------------------------------------------
@@ -433,39 +302,15 @@ fn print_doc(doc: &BenchDoc) {
     }
     t.print();
 
-    let backend: Vec<_> = doc
+    let backend: Vec<WorkloadResult> = doc
         .workloads
         .iter()
         .filter(|wl| wl.scenario == "backend")
+        .cloned()
         .collect();
     if !backend.is_empty() {
         println!("\n-- Backend ablation (modeled device time; identical tables checked) --");
-        let mut t = TextTable::new(&["Workload", "points", "ran", "modeled", "cv", "occ"]);
-        for wl in backend {
-            t.row(vec![
-                wl.id.clone(),
-                wl.points.to_string(),
-                wl.kernel.clone(),
-                fmt_ms(
-                    wl.stages
-                        .get("modeled")
-                        .map(|s| s.median_ms)
-                        .unwrap_or_default(),
-                ),
-                format!(
-                    "{:.2}",
-                    wl.metrics.get("cell_cv").copied().unwrap_or_default()
-                ),
-                format!(
-                    "{:.1}",
-                    wl.metrics
-                        .get("mean_occupancy")
-                        .copied()
-                        .unwrap_or_default()
-                ),
-            ]);
-        }
-        t.print();
+        crate::backend_ablation::print_table(&backend);
     }
 
     let micro: Vec<_> = doc
@@ -531,14 +376,38 @@ fn print_compare(report: &CompareReport, baseline_path: &std::path::Path) {
     );
 }
 
-/// Run the suite, write `BENCH_suite.json`, optionally compare against a
-/// baseline. Returns the process exit code: nonzero only when
-/// `BENCH_STRICT=1` and the comparison found regressions (or the baseline
-/// could not be loaded).
+/// Compare `doc` against the baseline document at `path`, print the
+/// comparison, and add its findings: modeled-stage regressions and an
+/// unreadable baseline fail the run only under `BENCH_STRICT=1`;
+/// wall-clock drift is advisory.
+fn compare_baseline(path: &std::path::Path, doc: &BenchDoc, findings: &mut Findings) {
+    match std::fs::read_to_string(path)
+        .map_err(|e| e.to_string())
+        .and_then(|t| BenchDoc::parse(&t))
+    {
+        Ok(baseline) => {
+            let report = compare(&baseline, doc);
+            print_compare(&report, path);
+            findings.strict.extend(
+                report
+                    .regressions()
+                    .iter()
+                    .map(|d| format!("regression in {}/{}", d.workload, d.stage)),
+            );
+            findings.advisories = report.wall_drift().len() as u64;
+        }
+        Err(e) => findings
+            .strict
+            .push(format!("cannot load baseline {}: {e}", path.display())),
+    }
+}
+
+/// Run the suite, optionally compare against a baseline, and finish
+/// (ledger record, then `BENCH_suite.json`). Returns the process exit
+/// code: nonzero on a fingerprint mismatch in the shard or backend rows,
+/// or — only under `BENCH_STRICT=1` — on regressions or an unreadable
+/// baseline.
 pub fn print(opts: &Options) -> i32 {
-    let strict = std::env::var("BENCH_STRICT")
-        .map(|v| v == "1")
-        .unwrap_or(false);
     println!("== Benchmark suite: S1/S2/S3 workloads, warmup + trials, device counters ==");
     println!(
         "{} workloads, warmup = {}, trials = {}; medians/MAD to BENCH_suite.json\n",
@@ -550,76 +419,30 @@ pub fn print(opts: &Options) -> i32 {
     let doc = run_suite(opts);
     print_doc(&doc);
 
-    let text = doc.to_json();
-    // Self-check: never ship a document the shared parser rejects.
-    if let Err(e) = BenchDoc::parse(&text) {
-        eprintln!("# bench: INTERNAL ERROR: emitted document does not parse: {e}");
-        return 1;
-    }
-    let path = opts
-        .csv_dir
-        .clone()
-        .unwrap_or_else(|| std::path::PathBuf::from("."))
-        .join("BENCH_suite.json");
-    if let Some(dir) = path.parent() {
-        let _ = std::fs::create_dir_all(dir);
-    }
-    match std::fs::write(&path, &text) {
-        Ok(()) => eprintln!("# bench: wrote {}", path.display()),
-        Err(e) => eprintln!("# bench: cannot write {}: {e}", path.display()),
-    }
-
-    // Gate, then append the run (with its gate outcome) to the ledger —
-    // the append happens on every path, comparison or not, so the ledger
-    // is the complete run history.
-    let mut gate = GateOutcome {
-        strict,
-        regressions: 0,
-        advisories: 0,
-        passed: true,
-    };
-    let mut exit = 0;
+    let mut findings = Findings::default();
+    findings
+        .fatal
+        .extend(crate::shard::mismatches(&doc.workloads));
+    findings
+        .fatal
+        .extend(crate::backend_ablation::mismatches(&doc.workloads));
     if let Some(baseline_path) = &opts.compare {
-        match std::fs::read_to_string(baseline_path)
-            .map_err(|e| e.to_string())
-            .and_then(|t| BenchDoc::parse(&t))
-        {
-            Ok(baseline) => {
-                let report = compare(&baseline, &doc);
-                print_compare(&report, baseline_path);
-                gate.regressions = report.regressions().len() as u64;
-                gate.advisories = report.wall_drift().len() as u64;
-                if !report.regressions().is_empty() {
-                    if strict {
-                        eprintln!("# bench: regressions found (BENCH_STRICT=1 — failing)");
-                        gate.passed = false;
-                        exit = 1;
-                    } else {
-                        eprintln!(
-                            "# bench: regressions found (advisory; set BENCH_STRICT=1 to enforce)"
-                        );
-                    }
-                }
-            }
-            Err(e) => {
-                eprintln!(
-                    "# bench: cannot load baseline {}: {e}",
-                    baseline_path.display()
-                );
-                if strict {
-                    gate.passed = false;
-                    exit = 1;
-                }
-            }
-        }
+        compare_baseline(baseline_path, &doc, &mut findings);
     }
-    opts.append_ledger(&ledger_record(&doc, gate));
-    exit
+    harness::finish(
+        opts,
+        "bench",
+        Some("BENCH_STRICT"),
+        "BENCH_suite.json",
+        &doc,
+        findings,
+    )
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use obs::bench::SCHEMA_VERSION;
 
     /// A one-workload document with the given stage medians (the modeled
     /// stage is the gating one; build_table is wall-clock/advisory).
@@ -761,27 +584,31 @@ mod tests {
     }
 
     #[test]
-    fn ledger_record_carries_stages_bits_and_gate() {
-        let mut doc = doc_with(100.0, 250.0, 1.0);
-        doc.workloads[0].modeled_time_bits = Some(0xdead_beef_dead_beef);
-        let gate = GateOutcome {
-            strict: true,
-            regressions: 1,
-            advisories: 2,
-            passed: false,
-        };
-        let rec = ledger_record(&doc, gate);
-        assert_eq!(rec.command, "bench");
-        assert!(!rec.gate.passed);
-        assert_eq!(rec.gate.regressions, 1);
-        let e = &rec.entries[0];
-        assert_eq!(e.modeled_time_bits, Some(0xdead_beef_dead_beef));
-        assert!(!e.stages["modeled"].wall, "modeled gates, never wall");
-        assert!(e.stages["build_table"].wall);
-        assert_eq!(e.stages["build_table"].median_ms, 250.0);
-        let line = rec.to_json();
-        let back = LedgerRecord::parse(&line).expect("record parses");
-        assert_eq!(back.to_json(), line, "ledger round trip is exact");
+    fn regressions_and_unreadable_baselines_gate_only_under_bench_strict() {
+        let dir = std::env::temp_dir().join(format!("regress-test-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("baseline.json");
+        // The modeled median doubled and the wall median drifted.
+        std::fs::write(&path, doc_with(100.0, 100.0, 1.0).to_json()).unwrap();
+        let mut f = Findings::default();
+        compare_baseline(&path, &doc_with(200.0, 200.0, 1.0), &mut f);
+        assert!(f.fatal.is_empty());
+        assert_eq!(f.strict, ["regression in s1/test/global/modeled"]);
+        assert_eq!(f.advisories, 1);
+
+        let mut f = Findings::default();
+        compare_baseline(&dir.join("missing.json"), &doc_with(1.0, 1.0, 0.0), &mut f);
+        assert!(f.fatal.is_empty());
+        assert_eq!(f.strict.len(), 1);
+        assert!(f.strict[0].starts_with("cannot load baseline"), "{f:?}");
+
+        // Without BENCH_STRICT the run passes with the findings counted as
+        // advisories; with it (or any command that has no strict
+        // variable) it fails.
+        let (gate, code) = harness::gate("bench", Some("REGRESS_TEST_STRICT_NEVER_SET"), &f);
+        assert_eq!((code, gate.passed, gate.advisories), (0, true, 1));
+        assert_eq!(harness::gate("bench", None, &f).1, 1);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -802,7 +629,7 @@ mod tests {
         // ablation workload).
         assert_eq!(
             doc.workloads.len(),
-            SUITE.len() + 1 + 3 + 3 * crate::backend_ablation::ABLATION.len()
+            SUITE.len() + 1 + harness::SHARD_SUITE.len() + 3 * harness::ABLATION.len()
         );
         let text = doc.to_json();
         let parsed = BenchDoc::parse(&text).expect("suite output must parse");
@@ -833,6 +660,9 @@ mod tests {
             assert!(k.mean_occupancy > 0.0);
             assert!(wl.metrics["result_pairs"] > 0.0);
         }
+        // Every sharded and every backend row reproduces its reference.
+        assert!(crate::shard::mismatches(&doc.workloads).is_empty());
+        assert!(crate::backend_ablation::mismatches(&doc.workloads).is_empty());
         let report = compare(&parsed, &doc);
         assert!(report.checked >= 3 * SUITE.len() + crate::micro::MICRO_STAGES.len());
         assert!(report.regressions().is_empty(), "{report:?}");

@@ -15,6 +15,7 @@
 //! pattern as `BENCH_STRICT` / `THREADS_STRICT` / `DIFF_STRICT`.
 
 use crate::common::Options;
+use crate::harness::{self, Findings};
 use obs::dashboard;
 use obs::trend;
 
@@ -22,7 +23,6 @@ use obs::trend;
 /// Returns the process exit code: nonzero when `TREND_STRICT=1` and the
 /// analysis found gating findings, or the dashboard failed validation.
 pub fn print(opts: &Options) -> i32 {
-    let strict = std::env::var("TREND_STRICT").is_ok_and(|v| v == "1");
     let ledger = opts.run_ledger();
     println!(
         "== Run-ledger trend report ({}) ==\n",
@@ -38,7 +38,9 @@ pub fn print(opts: &Options) -> i32 {
             "# report: ledger at {} has no readable records",
             ledger.dir().display()
         );
-        eprintln!("# report: run `repro bench|threads|profile|shard` first to append records");
+        eprintln!(
+            "# report: run `repro bench|threads|profile|shard|backend` first to append records"
+        );
         return 1;
     }
 
@@ -48,44 +50,22 @@ pub fn print(opts: &Options) -> i32 {
     // Render, then validate the embedded payload through the shared
     // parser before shipping the file.
     let html = dashboard::render_html(&loaded.records, &report);
-    let valid = match dashboard::embedded_json(&html).and_then(|json| {
+    let mut findings = Findings::default();
+    if let Err(e) = dashboard::embedded_json(&html).and_then(|json| {
         obs::json::parse(&json).map_err(|e| format!("embedded payload does not parse: {e}"))
     }) {
-        Ok(_) => true,
-        Err(e) => {
-            eprintln!("# report: INTERNAL ERROR: {e}");
-            false
-        }
-    };
-    if valid {
-        let path = opts
-            .csv_dir
-            .clone()
-            .unwrap_or_else(|| std::path::PathBuf::from("."))
-            .join("REPORT.html");
-        if let Some(dir) = path.parent() {
-            let _ = std::fs::create_dir_all(dir);
-        }
-        match std::fs::write(&path, &html) {
-            Ok(()) => eprintln!("# report: wrote {} (open in any browser)", path.display()),
-            Err(e) => eprintln!("# report: cannot write {}: {e}", path.display()),
-        }
+        findings.fatal.push(e);
+    } else {
+        opts.write_artifact("report", "REPORT.html", &html);
     }
 
     let gating = report.gating().len();
     if gating > 0 {
-        if strict {
-            eprintln!("# report: {gating} gating trend finding(s) (TREND_STRICT=1 — failing)");
-            return 1;
-        }
-        eprintln!(
-            "# report: {gating} gating trend finding(s) (advisory; set TREND_STRICT=1 to enforce)"
-        );
+        findings
+            .strict
+            .push(format!("{gating} gating trend finding(s)"));
     }
-    if !valid {
-        return 1;
-    }
-    0
+    harness::gate("report", Some("TREND_STRICT"), &findings).1
 }
 
 #[cfg(test)]

@@ -31,7 +31,7 @@
 //! emits. Like `BENCH_suite.json` it round-trips exactly through
 //! [`crate::json`]: `parse(doc.to_json()).to_json() == doc.to_json()`.
 
-use crate::json::{self, JsonValue, JsonWriter};
+use crate::json::{self, JsonWriter};
 use crate::provenance::Provenance;
 use crate::{DeviceOp, Recorder};
 use std::collections::BTreeMap;
@@ -398,6 +398,27 @@ impl ProfileRun {
             ..ProfileRun::default()
         }
     }
+
+    /// Mean per-worker busy % over the profiled window; `None` when no
+    /// pool worker ran.
+    pub fn mean_utilization_pct(&self) -> Option<f64> {
+        (!self.workers.is_empty()).then(|| {
+            self.workers.iter().map(|w| w.utilization_pct).sum::<f64>() / self.workers.len() as f64
+        })
+    }
+
+    /// Chunks claimed by threads other than their submitter.
+    pub fn steals(&self) -> u64 {
+        self.workers.iter().map(|w| w.steals).sum()
+    }
+
+    /// Serial fraction of the `build_table` stage, when it was recorded.
+    pub fn serial_fraction_build(&self) -> Option<f64> {
+        self.stages
+            .iter()
+            .find(|s| s.name == "build_table")
+            .map(|s| s.serial_fraction)
+    }
 }
 
 /// A full `PROFILE.json` document.
@@ -432,14 +453,7 @@ impl ProfileDoc {
             w.field_uint("threads", run.threads);
             w.field_float("wall_ms", run.wall_ms);
             w.field_float("modeled_ms", run.modeled_ms);
-            // As a hex string, not a number: the shared parser stores
-            // numbers as f64, which cannot represent a full 64-bit
-            // pattern — a numeric field would not survive the round-trip
-            // fixed-point check.
-            w.field_str(
-                "modeled_time_bits",
-                &format!("{:016x}", run.modeled_time_bits),
-            );
+            w.field_hex("modeled_time_bits", run.modeled_time_bits);
             w.field_bool("bits_match_unprofiled", run.bits_match_unprofiled);
             w.key("stages");
             w.begin_array();
@@ -510,11 +524,11 @@ impl ProfileDoc {
     /// version are validated; field errors name the offending key.
     pub fn parse(text: &str) -> Result<ProfileDoc, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = req_str(&v, "schema")?;
+        let schema = v.req_str("schema")?;
         if schema != SCHEMA {
             return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
         }
-        let version = req_u64(&v, "version")?;
+        let version = v.req_u64("version")?;
         if !(1..=SCHEMA_VERSION).contains(&version) {
             return Err(format!(
                 "unsupported schema version {version} (supported: 1..={SCHEMA_VERSION})"
@@ -522,72 +536,66 @@ impl ProfileDoc {
         }
         let mut doc = ProfileDoc {
             version,
-            scale: req_f64(&v, "scale")?,
-            host_threads: req_u64(&v, "host_threads")?,
+            scale: v.req_f64("scale")?,
+            host_threads: v.req_u64("host_threads")?,
             provenance: Provenance::parse_field(&v)?,
             runs: Vec::new(),
         };
-        let runs = v
-            .get("runs")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing 'runs' array")?;
-        for r in runs {
+        for r in v.req_arr("runs")? {
             let mut run = ProfileRun {
-                workload: req_str(r, "workload")?.to_string(),
-                scenario: req_str(r, "scenario")?.to_string(),
-                kernel: req_str(r, "kernel")?.to_string(),
-                threads: req_u64(r, "threads")?,
-                wall_ms: req_f64(r, "wall_ms")?,
-                modeled_ms: req_f64(r, "modeled_ms")?,
-                modeled_time_bits: u64::from_str_radix(req_str(r, "modeled_time_bits")?, 16)
-                    .map_err(|e| format!("bad hex in 'modeled_time_bits': {e}"))?,
-                bits_match_unprofiled: r
-                    .get("bits_match_unprofiled")
-                    .and_then(JsonValue::as_bool)
-                    .ok_or("missing boolean field 'bits_match_unprofiled'")?,
-                critical_path_ms: req_f64(r, "critical_path_ms")?,
+                workload: r.req_str("workload")?.to_string(),
+                scenario: r.req_str("scenario")?.to_string(),
+                kernel: r.req_str("kernel")?.to_string(),
+                threads: r.req_u64("threads")?,
+                wall_ms: r.req_f64("wall_ms")?,
+                modeled_ms: r.req_f64("modeled_ms")?,
+                modeled_time_bits: r
+                    .opt_hex("modeled_time_bits")?
+                    .ok_or("missing string field 'modeled_time_bits'")?,
+                bits_match_unprofiled: r.req_bool("bits_match_unprofiled")?,
+                critical_path_ms: r.req_f64("critical_path_ms")?,
                 ..ProfileRun::default()
             };
-            for s in req_arr(r, "stages")? {
+            for s in r.req_arr("stages")? {
                 run.stages.push(StageAnalysis {
-                    name: req_str(s, "name")?.to_string(),
-                    wall_ms: req_f64(s, "wall_ms")?,
-                    pool_busy_ms: req_f64(s, "pool_busy_ms")?,
-                    pool_tasks: req_u64(s, "pool_tasks")?,
-                    serial_fraction: req_f64(s, "serial_fraction")?,
-                    amdahl_max_speedup: req_f64(s, "amdahl_max_speedup")?,
-                    dominant: req_str(s, "dominant")?.to_string(),
+                    name: s.req_str("name")?.to_string(),
+                    wall_ms: s.req_f64("wall_ms")?,
+                    pool_busy_ms: s.req_f64("pool_busy_ms")?,
+                    pool_tasks: s.req_u64("pool_tasks")?,
+                    serial_fraction: s.req_f64("serial_fraction")?,
+                    amdahl_max_speedup: s.req_f64("amdahl_max_speedup")?,
+                    dominant: s.req_str("dominant")?.to_string(),
                 });
             }
-            for wv in req_arr(r, "workers")? {
+            for wv in r.req_arr("workers")? {
                 run.workers.push(WorkerUtilization {
-                    name: req_str(wv, "name")?.to_string(),
-                    busy_ms: req_f64(wv, "busy_ms")?,
-                    park_ms: req_f64(wv, "park_ms")?,
-                    queue_wait_ms: req_f64(wv, "queue_wait_ms")?,
-                    utilization_pct: req_f64(wv, "utilization_pct")?,
-                    tasks: req_u64(wv, "tasks")?,
-                    steals: req_u64(wv, "steals")?,
+                    name: wv.req_str("name")?.to_string(),
+                    busy_ms: wv.req_f64("busy_ms")?,
+                    park_ms: wv.req_f64("park_ms")?,
+                    queue_wait_ms: wv.req_f64("queue_wait_ms")?,
+                    utilization_pct: wv.req_f64("utilization_pct")?,
+                    tasks: wv.req_u64("tasks")?,
+                    steals: wv.req_u64("steals")?,
                 });
             }
-            for step in req_arr(r, "critical_path")? {
+            for step in r.req_arr("critical_path")? {
                 run.critical_path.push(CriticalPathStep {
-                    lane: req_str(step, "lane")?.to_string(),
-                    label: req_str(step, "label")?.to_string(),
-                    start_ms: req_f64(step, "start_ms")?,
-                    dur_ms: req_f64(step, "dur_ms")?,
+                    lane: step.req_str("lane")?.to_string(),
+                    label: step.req_str("label")?.to_string(),
+                    start_ms: step.req_f64("start_ms")?,
+                    dur_ms: step.req_f64("dur_ms")?,
                 });
             }
-            for h in req_arr(r, "hotspots")? {
+            for h in r.req_arr("hotspots")? {
                 run.hotspots.push(Hotspot {
-                    label: req_str(h, "label")?.to_string(),
-                    busy_ms: req_f64(h, "busy_ms")?,
-                    queue_wait_ms: req_f64(h, "queue_wait_ms")?,
-                    tasks: req_u64(h, "tasks")?,
-                    steals: req_u64(h, "steals")?,
+                    label: h.req_str("label")?.to_string(),
+                    busy_ms: h.req_f64("busy_ms")?,
+                    queue_wait_ms: h.req_f64("queue_wait_ms")?,
+                    tasks: h.req_u64("tasks")?,
+                    steals: h.req_u64("steals")?,
                 });
             }
-            for line in req_arr(r, "diagnosis")? {
+            for line in r.req_arr("diagnosis")? {
                 run.diagnosis.push(
                     line.as_str()
                         .ok_or("diagnosis entry not a string")?
@@ -598,30 +606,6 @@ impl ProfileDoc {
         }
         Ok(doc)
     }
-}
-
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn req_arr<'a>(v: &'a JsonValue, key: &str) -> Result<&'a [JsonValue], String> {
-    v.get(key)
-        .and_then(JsonValue::as_arr)
-        .ok_or_else(|| format!("missing array field '{key}'"))
 }
 
 #[cfg(test)]

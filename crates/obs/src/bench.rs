@@ -1,8 +1,8 @@
 //! Schema for the continuous-benchmark documents (`BENCH_suite.json` and
 //! the baselines under `results/baselines/`).
 //!
-//! The benchmark harness (`crates/bench::regress`) produces a
-//! [`BenchDoc`] per run: one [`WorkloadResult`] per suite workload, each
+//! The measurement harness (`crates/bench::harness`) produces a
+//! [`BenchDoc`] per run: one [`WorkloadResult`] per workload row, each
 //! carrying per-stage wall/modeled statistics ([`StageStats`]), per-kernel
 //! device counters (re-using [`gpu_sim::profiler::ProfileStats`], the
 //! profiler → observability contract), and scalar metrics. Documents are
@@ -10,7 +10,7 @@
 //! `parse(doc.to_json()).to_json() == doc.to_json()`, which is what makes
 //! checked-in baselines diffable and the regression gate trustworthy.
 
-use crate::json::{self, JsonValue, JsonWriter};
+use crate::json::{self, JsonWriter};
 use crate::metrics::Metrics;
 use crate::provenance::Provenance;
 use gpu_sim::profiler::{KernelProfile, ProfileStats};
@@ -20,12 +20,16 @@ use std::collections::BTreeMap;
 ///
 /// Version history: v1 had no provenance header and no per-workload
 /// `modeled_time_bits`; v2 added both. v3 dropped the retired
-/// disjoint-set clusterer's `disjoint_set` stage. [`BenchDoc::parse`]
-/// still accepts v1 and v2 documents (v1's optional fields come back
-/// `None`; a v2 `disjoint_set` stage parses like any other stage) so
-/// `--compare` against older baselines keeps working.
+/// disjoint-set clusterer's `disjoint_set` stage. v4 added per-workload
+/// `fingerprints` and became the one document every measuring command
+/// writes (`BENCH_suite.json`, `BENCH_threads.json`,
+/// `SHARD_fingerprints.json`, `BENCH_backend.json`). [`BenchDoc::parse`]
+/// still accepts v1–v3 documents (v1's optional fields come back `None`;
+/// a v2 `disjoint_set` stage parses like any other stage; before v4
+/// `fingerprints` is empty) so `--compare` against older baselines keeps
+/// working.
 pub const SCHEMA: &str = "hybrid-dbscan/bench-suite";
-pub const SCHEMA_VERSION: u64 = 3;
+pub const SCHEMA_VERSION: u64 = 4;
 
 /// Robust summary of one stage's per-trial durations (milliseconds).
 ///
@@ -64,6 +68,11 @@ pub struct WorkloadResult {
     /// seconds), serialized as a hex string. `None` on v1 documents and on
     /// workloads without a single modeled time.
     pub modeled_time_bits: Option<u64>,
+    /// Output fingerprints (`table`, `clustering`) of rows whose answer is
+    /// checked against a reference: sharded against unsharded, one
+    /// backend against another. Serialized as hex strings like
+    /// `modeled_time_bits`, and omitted when empty.
+    pub fingerprints: BTreeMap<String, u64>,
     /// Stage name → summary (`build_table`, `dbscan`, `modeled`, or the
     /// micro workload's stages).
     pub stages: BTreeMap<String, StageStats>,
@@ -113,9 +122,15 @@ impl BenchDoc {
             w.field_uint("minpts", wl.minpts);
             w.field_uint("points", wl.points);
             if let Some(bits) = wl.modeled_time_bits {
-                // Hex string, not a number: the shared parser stores
-                // numbers as f64, which cannot hold a 64-bit pattern.
-                w.field_str("modeled_time_bits", &format!("{bits:016x}"));
+                w.field_hex("modeled_time_bits", bits);
+            }
+            if !wl.fingerprints.is_empty() {
+                w.key("fingerprints");
+                w.begin_object();
+                for (name, fp) in &wl.fingerprints {
+                    w.field_hex(name, *fp);
+                }
+                w.end_object();
             }
             w.key("stages");
             w.begin_object();
@@ -147,12 +162,7 @@ impl BenchDoc {
                 w.end_object();
             }
             w.end_object();
-            w.key("metrics");
-            w.begin_object();
-            for (name, v) in &wl.metrics {
-                w.field_float(name, *v);
-            }
-            w.end_object();
+            w.field_f64_map("metrics", &wl.metrics);
             w.end_object();
         }
         w.end_array();
@@ -165,11 +175,11 @@ impl BenchDoc {
     /// offending key.
     pub fn parse(text: &str) -> Result<BenchDoc, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = req_str(&v, "schema")?;
+        let schema = v.req_str("schema")?;
         if schema != SCHEMA {
             return Err(format!("unexpected schema '{schema}' (want '{SCHEMA}')"));
         }
-        let version = req_u64(&v, "version")?;
+        let version = v.req_u64("version")?;
         if !(1..=SCHEMA_VERSION).contains(&version) {
             return Err(format!(
                 "unsupported schema version {version} (supported: 1..={SCHEMA_VERSION})"
@@ -177,83 +187,64 @@ impl BenchDoc {
         }
         let mut doc = BenchDoc {
             version,
-            scale: req_f64(&v, "scale")?,
-            trials: req_u64(&v, "trials")?,
-            warmup: req_u64(&v, "warmup")?,
-            host_threads: req_u64(&v, "host_threads")?,
+            scale: v.req_f64("scale")?,
+            trials: v.req_u64("trials")?,
+            warmup: v.req_u64("warmup")?,
+            host_threads: v.req_u64("host_threads")?,
             provenance: Provenance::parse_field(&v)?,
             workloads: Vec::new(),
         };
-        let workloads = v
-            .get("workloads")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing 'workloads' array")?;
-        for wl in workloads {
+        for wl in v.req_arr("workloads")? {
             let mut out = WorkloadResult {
-                id: req_str(wl, "id")?.to_string(),
-                scenario: req_str(wl, "scenario")?.to_string(),
-                dataset: req_str(wl, "dataset")?.to_string(),
-                kernel: req_str(wl, "kernel")?.to_string(),
-                eps: req_f64(wl, "eps")?,
-                minpts: req_u64(wl, "minpts")?,
-                points: req_u64(wl, "points")?,
-                modeled_time_bits: match wl.get("modeled_time_bits") {
-                    None => None,
-                    Some(b) => Some(
-                        b.as_str()
-                            .and_then(|h| u64::from_str_radix(h, 16).ok())
-                            .ok_or("bad hex in 'modeled_time_bits'")?,
-                    ),
-                },
+                id: wl.req_str("id")?.to_string(),
+                scenario: wl.req_str("scenario")?.to_string(),
+                dataset: wl.req_str("dataset")?.to_string(),
+                kernel: wl.req_str("kernel")?.to_string(),
+                eps: wl.req_f64("eps")?,
+                minpts: wl.req_u64("minpts")?,
+                points: wl.req_u64("points")?,
+                modeled_time_bits: wl.opt_hex("modeled_time_bits")?,
                 ..WorkloadResult::default()
             };
-            let stages = wl
-                .get("stages")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'stages' object")?;
-            for (name, s) in stages {
+            if let Some(fps) = wl.get("fingerprints") {
+                for name in fps
+                    .as_obj()
+                    .ok_or("'fingerprints' is not an object")?
+                    .keys()
+                {
+                    out.fingerprints
+                        .insert(name.clone(), fps.opt_hex(name)?.unwrap_or_default());
+                }
+            }
+            for (name, s) in wl.req_obj("stages")? {
                 out.stages.insert(
                     name.clone(),
                     StageStats {
-                        trials: req_u64(s, "trials")?,
-                        median_ms: req_f64(s, "median_ms")?,
-                        mean_ms: req_f64(s, "mean_ms")?,
-                        mad_ms: req_f64(s, "mad_ms")?,
-                        iqr_ms: req_f64(s, "iqr_ms")?,
-                        min_ms: req_f64(s, "min_ms")?,
-                        max_ms: req_f64(s, "max_ms")?,
+                        trials: s.req_u64("trials")?,
+                        median_ms: s.req_f64("median_ms")?,
+                        mean_ms: s.req_f64("mean_ms")?,
+                        mad_ms: s.req_f64("mad_ms")?,
+                        iqr_ms: s.req_f64("iqr_ms")?,
+                        min_ms: s.req_f64("min_ms")?,
+                        max_ms: s.req_f64("max_ms")?,
                     },
                 );
             }
-            let counters = wl
-                .get("counters")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'counters' object")?;
-            for (name, p) in counters {
+            for (name, p) in wl.req_obj("counters")? {
                 out.counters.insert(
                     name.clone(),
                     ProfileStats {
-                        launches: req_u64(p, "launches")?,
-                        total_threads: req_u64(p, "total_threads")?,
-                        total_blocks: req_u64(p, "total_blocks")?,
-                        time_ms: req_f64(p, "time_ms")?,
-                        mean_occupancy: req_f64(p, "mean_occupancy")?,
-                        gmem_gbps: req_f64(p, "gmem_gbps")?,
-                        atomics: req_u64(p, "atomics")?,
+                        launches: p.req_u64("launches")?,
+                        total_threads: p.req_u64("total_threads")?,
+                        total_blocks: p.req_u64("total_blocks")?,
+                        time_ms: p.req_f64("time_ms")?,
+                        mean_occupancy: p.req_f64("mean_occupancy")?,
+                        gmem_gbps: p.req_f64("gmem_gbps")?,
+                        atomics: p.req_u64("atomics")?,
                     },
                 );
             }
-            let metrics = wl
-                .get("metrics")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'metrics' object")?;
-            for (name, v) in metrics {
-                out.metrics.insert(
-                    name.clone(),
-                    v.as_f64()
-                        .ok_or_else(|| format!("metric '{name}' not a number"))?,
-                );
-            }
+            out.metrics = wl.req_f64_map("metrics")?;
             doc.workloads.push(out);
         }
         Ok(doc)
@@ -263,24 +254,6 @@ impl BenchDoc {
     pub fn workload(&self, id: &str) -> Option<&WorkloadResult> {
         self.workloads.iter().find(|w| w.id == id)
     }
-}
-
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
 }
 
 /// Record a kernel profile's headline counters into a metrics registry
@@ -425,13 +398,31 @@ mod tests {
 
     #[test]
     fn bits_survive_as_full_64bit_patterns() {
-        let doc = sample_doc();
+        let mut doc = sample_doc();
+        doc.workloads[0]
+            .fingerprints
+            .insert("table".into(), u64::MAX - 1);
         let parsed = BenchDoc::parse(&doc.to_json()).unwrap();
         assert_eq!(parsed.workloads[0].modeled_time_bits, Some(u64::MAX));
+        assert_eq!(parsed.workloads[0].fingerprints["table"], u64::MAX - 1);
+        assert_eq!(parsed, doc);
         assert_eq!(
             parsed.provenance.as_ref().map(|p| p.git_sha.as_str()),
             Some("ee9aa08269b9")
         );
+    }
+
+    #[test]
+    fn v3_documents_without_fingerprints_round_trip_exactly() {
+        // The committed smoke baseline is v3: no fingerprints member. It
+        // must parse and re-emit byte for byte.
+        let mut doc = sample_doc();
+        doc.version = 3;
+        let text = doc.to_json();
+        assert!(!text.contains("fingerprints"));
+        let parsed = BenchDoc::parse(&text).expect("v3 fallback");
+        assert!(parsed.workloads[0].fingerprints.is_empty());
+        assert_eq!(parsed.to_json(), text);
     }
 
     #[test]

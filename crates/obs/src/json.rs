@@ -143,6 +143,24 @@ impl JsonWriter {
         self.boolean(v);
     }
 
+    /// A 64-bit pattern as a 16-hex-digit string, not a number: the
+    /// parser stores numbers as `f64`, which cannot hold one (read back
+    /// with [`JsonValue::opt_hex`]).
+    pub fn field_hex(&mut self, k: &str, v: u64) {
+        self.field_str(k, &format!("{v:016x}"));
+    }
+
+    /// A name → number map as an object (read back with
+    /// [`JsonValue::req_f64_map`]).
+    pub fn field_f64_map(&mut self, k: &str, map: &BTreeMap<String, f64>) {
+        self.key(k);
+        self.begin_object();
+        for (name, v) in map {
+            self.field_float(name, *v);
+        }
+        self.end_object();
+    }
+
     pub fn finish(self) -> String {
         debug_assert!(self.needs_comma.is_empty(), "unbalanced begin/end");
         self.buf
@@ -161,11 +179,9 @@ impl Default for JsonWriter {
 
 /// A parsed JSON value. Numbers are `f64` — sufficient for every document
 /// the workspace emits (3-decimal floats and counts far below 2^53).
-/// Full 64-bit patterns do not fit: `BENCH_threads.json` emits its
-/// numeric `modeled_time_bits` for parseability validation only (never
-/// re-read through this type), and `PROFILE.json` — which must be a
-/// byte-exact fixed point of `parse → to_json` — carries the same field
-/// as a hex *string* instead.
+/// Full 64-bit patterns do not fit, so every document carries
+/// `modeled_time_bits` and fingerprints as hex *strings*
+/// ([`JsonValue::opt_hex`]).
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
     Null,
@@ -225,6 +241,70 @@ impl JsonValue {
             JsonValue::Obj(m) => Some(m),
             _ => None,
         }
+    }
+
+    /// Required string member `key`; the error names the key. The
+    /// `req_*` family is what every document parser in this crate reads
+    /// its fields with.
+    pub fn req_str(&self, key: &str) -> Result<&str, String> {
+        self.get(key)
+            .and_then(JsonValue::as_str)
+            .ok_or_else(|| format!("missing string field '{key}'"))
+    }
+
+    pub fn req_f64(&self, key: &str) -> Result<f64, String> {
+        self.get(key)
+            .and_then(JsonValue::as_f64)
+            .ok_or_else(|| format!("missing numeric field '{key}'"))
+    }
+
+    pub fn req_u64(&self, key: &str) -> Result<u64, String> {
+        self.get(key)
+            .and_then(JsonValue::as_u64)
+            .ok_or_else(|| format!("missing integer field '{key}'"))
+    }
+
+    pub fn req_bool(&self, key: &str) -> Result<bool, String> {
+        self.get(key)
+            .and_then(JsonValue::as_bool)
+            .ok_or_else(|| format!("missing boolean field '{key}'"))
+    }
+
+    pub fn req_obj(&self, key: &str) -> Result<&BTreeMap<String, JsonValue>, String> {
+        self.get(key)
+            .and_then(JsonValue::as_obj)
+            .ok_or_else(|| format!("missing '{key}' object"))
+    }
+
+    pub fn req_arr(&self, key: &str) -> Result<&[JsonValue], String> {
+        self.get(key)
+            .and_then(JsonValue::as_arr)
+            .ok_or_else(|| format!("missing array field '{key}'"))
+    }
+
+    /// Required object member `key` of numbers, as a map.
+    pub fn req_f64_map(&self, key: &str) -> Result<BTreeMap<String, f64>, String> {
+        self.req_obj(key)?
+            .iter()
+            .map(|(name, v)| {
+                v.as_f64()
+                    .map(|x| (name.clone(), x))
+                    .ok_or_else(|| format!("{key} '{name}' not a number"))
+            })
+            .collect()
+    }
+
+    /// Optional member `key` holding a 64-bit pattern as 16 hex digits —
+    /// how bit patterns and fingerprints travel, since numbers here are
+    /// `f64`. `Ok(None)` when absent.
+    pub fn opt_hex(&self, key: &str) -> Result<Option<u64>, String> {
+        self.get(key)
+            .map(|v| {
+                v.as_str()
+                    .and_then(|h| u64::from_str_radix(h, 16).ok())
+                    .ok_or_else(|| format!("bad hex in '{key}'"))
+            })
+            .transpose()
     }
 }
 

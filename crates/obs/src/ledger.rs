@@ -1,6 +1,6 @@
 //! Append-only run ledger (`results/ledger/ledger.jsonl`).
 //!
-//! Every `repro bench|threads|profile|shard` run appends one compact
+//! Every `repro bench|threads|profile|shard|backend` run appends one compact
 //! [`LedgerRecord`] line: per-stage medians/MAD, `modeled_time_bits`,
 //! scalar metrics (speedups, serial fraction, worker utilization), the
 //! gate outcome, and a full [`Provenance`] header. The ledger is what
@@ -24,7 +24,7 @@
 //!   [`Ledger::load`] reads the rotation first, so the window trend
 //!   analysis sees spans both files.
 
-use crate::json::{self, JsonValue, JsonWriter};
+use crate::json::{self, JsonWriter};
 use crate::provenance::Provenance;
 use std::collections::BTreeMap;
 use std::io::Write as _;
@@ -55,8 +55,9 @@ pub struct StagePoint {
 /// One workload's row in a ledger record.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LedgerEntry {
-    /// Stable workload id — the trend-series key together with the stage
-    /// name (e.g. `s1/sw1-eps0.2/global`, `threads/sw1-eps0.2/t4`).
+    /// Stable workload id — with the record's command and scale, the
+    /// trend-series key (`obs::trend::SeriesKey`; e.g.
+    /// `s1/sw1-eps0.2/global`, `threads/sw1-eps0.2/t4`).
     pub workload: String,
     pub stages: BTreeMap<String, StagePoint>,
     /// Bit pattern of the modeled time, when the producing command has
@@ -84,7 +85,8 @@ pub struct GateOutcome {
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct LedgerRecord {
     pub version: u64,
-    /// Producing subcommand: `bench`, `threads`, `profile`, or `shard`.
+    /// Producing subcommand: `bench`, `threads`, `profile`, `shard` or
+    /// `backend`.
     pub command: String,
     pub scale: f64,
     /// True when the run intentionally refreshed a baseline
@@ -131,16 +133,9 @@ impl LedgerRecord {
             }
             w.end_object();
             if let Some(bits) = e.modeled_time_bits {
-                // Hex string, not a number: the shared parser stores
-                // numbers as f64, which cannot hold a 64-bit pattern.
-                w.field_str("modeled_time_bits", &format!("{bits:016x}"));
+                w.field_hex("modeled_time_bits", bits);
             }
-            w.key("metrics");
-            w.begin_object();
-            for (name, v) in &e.metrics {
-                w.field_float(name, *v);
-            }
-            w.end_object();
+            w.field_f64_map("metrics", &e.metrics);
             w.end_object();
         }
         w.end_array();
@@ -151,19 +146,13 @@ impl LedgerRecord {
     /// Parse one JSONL line.
     pub fn parse(text: &str) -> Result<LedgerRecord, String> {
         let v = json::parse(text).map_err(|e| e.to_string())?;
-        let schema = v
-            .get("schema")
-            .and_then(JsonValue::as_str)
-            .ok_or("missing string field 'schema'")?;
+        let schema = v.req_str("schema")?;
         if schema != RECORD_SCHEMA {
             return Err(format!(
                 "unexpected schema '{schema}' (want '{RECORD_SCHEMA}')"
             ));
         }
-        let version = v
-            .get("version")
-            .and_then(JsonValue::as_u64)
-            .ok_or("missing integer field 'version'")?;
+        let version = v.req_u64("version")?;
         if version > RECORD_VERSION {
             return Err(format!(
                 "unsupported record version {version} (supported: <= {RECORD_VERSION})"
@@ -171,62 +160,37 @@ impl LedgerRecord {
         }
         let gate_v = v.get("gate").ok_or("missing 'gate' object")?;
         let gate = GateOutcome {
-            strict: req_bool(gate_v, "strict")?,
-            regressions: req_u64(gate_v, "regressions")?,
-            advisories: req_u64(gate_v, "advisories")?,
-            passed: req_bool(gate_v, "passed")?,
+            strict: gate_v.req_bool("strict")?,
+            regressions: gate_v.req_u64("regressions")?,
+            advisories: gate_v.req_u64("advisories")?,
+            passed: gate_v.req_bool("passed")?,
         };
         let mut rec = LedgerRecord {
             version,
-            command: req_str(&v, "command")?.to_string(),
-            scale: req_f64(&v, "scale")?,
-            baseline_refresh: req_bool(&v, "baseline_refresh")?,
+            command: v.req_str("command")?.to_string(),
+            scale: v.req_f64("scale")?,
+            baseline_refresh: v.req_bool("baseline_refresh")?,
             provenance: Provenance::parse_field(&v)?.ok_or("missing 'provenance' header")?,
             gate,
             entries: Vec::new(),
         };
-        let entries = v
-            .get("entries")
-            .and_then(JsonValue::as_arr)
-            .ok_or("missing 'entries' array")?;
-        for e in entries {
+        for e in v.req_arr("entries")? {
             let mut entry = LedgerEntry {
-                workload: req_str(e, "workload")?.to_string(),
+                workload: e.req_str("workload")?.to_string(),
                 ..LedgerEntry::default()
             };
-            let stages = e
-                .get("stages")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'stages' object")?;
-            for (name, s) in stages {
+            for (name, s) in e.req_obj("stages")? {
                 entry.stages.insert(
                     name.clone(),
                     StagePoint {
-                        median_ms: req_f64(s, "median_ms")?,
-                        mad_ms: req_f64(s, "mad_ms")?,
-                        wall: req_bool(s, "wall")?,
+                        median_ms: s.req_f64("median_ms")?,
+                        mad_ms: s.req_f64("mad_ms")?,
+                        wall: s.req_bool("wall")?,
                     },
                 );
             }
-            entry.modeled_time_bits = match e.get("modeled_time_bits") {
-                None => None,
-                Some(b) => Some(
-                    b.as_str()
-                        .and_then(|h| u64::from_str_radix(h, 16).ok())
-                        .ok_or("bad hex in 'modeled_time_bits'")?,
-                ),
-            };
-            let metrics = e
-                .get("metrics")
-                .and_then(JsonValue::as_obj)
-                .ok_or("missing 'metrics' object")?;
-            for (name, m) in metrics {
-                entry.metrics.insert(
-                    name.clone(),
-                    m.as_f64()
-                        .ok_or_else(|| format!("metric '{name}' not a number"))?,
-                );
-            }
+            entry.modeled_time_bits = e.opt_hex("modeled_time_bits")?;
+            entry.metrics = e.req_f64_map("metrics")?;
             rec.entries.push(entry);
         }
         Ok(rec)
@@ -341,30 +305,6 @@ impl Ledger {
         }
         out
     }
-}
-
-fn req_str<'a>(v: &'a JsonValue, key: &str) -> Result<&'a str, String> {
-    v.get(key)
-        .and_then(JsonValue::as_str)
-        .ok_or_else(|| format!("missing string field '{key}'"))
-}
-
-fn req_f64(v: &JsonValue, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_f64)
-        .ok_or_else(|| format!("missing numeric field '{key}'"))
-}
-
-fn req_u64(v: &JsonValue, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(JsonValue::as_u64)
-        .ok_or_else(|| format!("missing integer field '{key}'"))
-}
-
-fn req_bool(v: &JsonValue, key: &str) -> Result<bool, String> {
-    v.get(key)
-        .and_then(JsonValue::as_bool)
-        .ok_or_else(|| format!("missing boolean field '{key}'"))
 }
 
 #[cfg(test)]

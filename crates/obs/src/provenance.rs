@@ -1,8 +1,8 @@
 //! Artifact provenance: who produced a document, from what tree, when.
 //!
 //! Every JSON artifact the workspace emits (`BENCH_suite.json`,
-//! `BENCH_threads.json`, `PROFILE.json`, `SHARD_fingerprints.json`, the
-//! run-ledger records) carries a [`Provenance`] header so a number can
+//! `BENCH_threads.json`, `PROFILE.json`, `SHARD_fingerprints.json`,
+//! `BENCH_backend.json`, the run-ledger records) carries a [`Provenance`] header so a number can
 //! always be traced back to the commit, toolchain, and pool configuration
 //! that produced it. Without this, cross-run comparison is guesswork: the
 //! 4-thread `build_table` regression of PR 8 went unnoticed for two PRs
@@ -142,21 +142,12 @@ impl Provenance {
         let Some(p) = doc.get("provenance") else {
             return Ok(None);
         };
-        let s = |key: &str| -> Result<String, String> {
-            p.get(key)
-                .and_then(JsonValue::as_str)
-                .map(str::to_string)
-                .ok_or_else(|| format!("provenance: missing string field '{key}'"))
-        };
-        let u = |key: &str| -> Result<u64, String> {
-            p.get(key)
-                .and_then(JsonValue::as_u64)
-                .ok_or_else(|| format!("provenance: missing integer field '{key}'"))
-        };
+        let field = |e: String| format!("provenance: {e}");
+        let s = |key: &str| p.req_str(key).map(str::to_string).map_err(field);
+        let u = |key: &str| p.req_u64(key).map_err(field);
         let workloads = p
-            .get("workloads")
-            .and_then(JsonValue::as_arr)
-            .ok_or("provenance: missing 'workloads' array")?
+            .req_arr("workloads")
+            .map_err(field)?
             .iter()
             .map(|v| {
                 v.as_str()
@@ -169,10 +160,7 @@ impl Provenance {
             schema: s("schema")?,
             schema_version: u("schema_version")?,
             git_sha: s("git_sha")?,
-            git_dirty: p
-                .get("git_dirty")
-                .and_then(JsonValue::as_bool)
-                .ok_or("provenance: missing boolean field 'git_dirty'")?,
+            git_dirty: p.req_bool("git_dirty").map_err(field)?,
             rustc: s("rustc")?,
             rayon_num_threads: s("rayon_num_threads")?,
             host: s("host")?,

@@ -1,12 +1,13 @@
-//! Robust statistics over per-trial samples for the benchmark suite.
+//! Robust statistics over per-trial samples.
 //!
 //! Benchmark trials on a shared host are contaminated by scheduler noise;
-//! the suite therefore reports medians, the median absolute deviation
-//! (MAD), and the interquartile range rather than means and standard
-//! deviations. The regression gate (`regress::noise_threshold`) derives
-//! its per-stage noise threshold from the baseline's MAD.
+//! the benchmark documents therefore report medians, the median absolute
+//! deviation (MAD), and the interquartile range rather than means and
+//! standard deviations. The pairwise regression gate (`repro bench
+//! --compare`) derives its per-stage noise threshold from the baseline's
+//! MAD, and [`crate::trend`] its step threshold from the MAD of a series.
 
-use obs::bench::StageStats;
+use crate::bench::StageStats;
 
 /// Linear-interpolated `q`-quantile (`q` in `[0, 1]`) of `sorted`
 /// (ascending). Returns 0 on an empty slice.
@@ -109,6 +110,6 @@ mod tests {
         assert_eq!(one.mad_ms, 0.0);
         assert_eq!(one.iqr_ms, 0.0);
 
-        assert_eq!(summarize(&[]), obs::bench::StageStats::default());
+        assert_eq!(summarize(&[]), StageStats::default());
     }
 }

@@ -5,7 +5,7 @@
 //! every single time and still compounds into a large regression over a
 //! release cycle — exactly the 4-thread `build_table` story of PR 8.
 //! This module reads the **series** instead: for every
-//! (command, workload, stage) it collects the stage medians of the last
+//! ([`SeriesKey`], stage) it collects the stage medians of the last
 //! `window` ledger records and runs a MAD-based step (change-point)
 //! detector, so a level shift is flagged even when every adjacent pair
 //! of runs is individually within noise.
@@ -30,7 +30,8 @@
 //! Findings are advisory unless `TREND_STRICT=1` (mirroring
 //! `DIFF_STRICT` / `BENCH_STRICT`), which `repro report` enforces.
 
-use crate::ledger::LedgerRecord;
+use crate::ledger::{LedgerEntry, LedgerRecord};
+use crate::stats::{mad, median};
 use std::collections::BTreeMap;
 
 /// Default number of trailing ledger records analyzed.
@@ -40,6 +41,46 @@ pub const DEFAULT_WINDOW: usize = 64;
 /// 2 + 2 the "levels" are single samples and the detector would flag
 /// ordinary jitter.
 const MIN_SEGMENT: usize = 2;
+
+/// Identity of one trend series: the producing command, the workload id
+/// and the run's `--scale`. Point counts, and with them every time and
+/// modeled bit pattern, depend on the scale, so one workload run at two
+/// scales is two series. Both the trend analysis and the dashboard key
+/// their series by this.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
+pub struct SeriesKey {
+    pub command: String,
+    pub workload: String,
+    /// `to_bits()` of the record's scale (ordered like the scale, since
+    /// scales are positive).
+    scale_bits: u64,
+}
+
+impl SeriesKey {
+    /// The series `entry` of `rec` belongs to.
+    pub fn of(rec: &LedgerRecord, entry: &LedgerEntry) -> SeriesKey {
+        SeriesKey {
+            command: rec.command.clone(),
+            workload: entry.workload.clone(),
+            scale_bits: rec.scale.to_bits(),
+        }
+    }
+
+    pub fn scale(&self) -> f64 {
+        f64::from_bits(self.scale_bits)
+    }
+
+    /// Display label of one stage of this series,
+    /// `command/workload@scale/stage`.
+    pub fn label(&self, stage: &str) -> String {
+        format!(
+            "{}/{}@{}/{stage}",
+            self.command,
+            self.workload,
+            self.scale()
+        )
+    }
+}
 
 /// What a finding detected.
 #[derive(Debug, Clone, PartialEq)]
@@ -63,8 +104,7 @@ pub enum TrendKind {
 /// One flagged series.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TrendFinding {
-    pub command: String,
-    pub workload: String,
+    pub series: SeriesKey,
     pub stage: String,
     pub kind: TrendKind,
     /// Gating findings fail `repro report` under `TREND_STRICT=1`:
@@ -78,7 +118,7 @@ pub struct TrendFinding {
 #[derive(Debug, Clone, Default)]
 pub struct TrendReport {
     pub findings: Vec<TrendFinding>,
-    /// (command, workload, stage) series examined.
+    /// (series, stage) pairs examined.
     pub series: usize,
     /// Ledger records in the analyzed window.
     pub records: usize,
@@ -88,31 +128,6 @@ impl TrendReport {
     pub fn gating(&self) -> Vec<&TrendFinding> {
         self.findings.iter().filter(|f| f.gating).collect()
     }
-}
-
-/// Median of a sample (empty → 0).
-fn median(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let mut v = xs.to_vec();
-    v.sort_by(f64::total_cmp);
-    let n = v.len();
-    if n % 2 == 1 {
-        v[n / 2]
-    } else {
-        0.5 * (v[n / 2 - 1] + v[n / 2])
-    }
-}
-
-/// Median absolute deviation from the median.
-fn mad(xs: &[f64]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
-    let m = median(xs);
-    let dev: Vec<f64> = xs.iter().map(|x| (x - m).abs()).collect();
-    median(&dev)
 }
 
 /// Step threshold for a series whose pre-step segment has the given
@@ -183,13 +198,12 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
         ..TrendReport::default()
     };
 
-    // (command, workload) -> per-record (stage points, bits, refresh).
-    type SeriesKey = (String, String);
+    // Series -> per-record (stage points, bits, refresh).
     let mut stage_series: BTreeMap<(SeriesKey, String), Vec<SeriesPoint>> = BTreeMap::new();
     let mut bits_series: BTreeMap<SeriesKey, Vec<(u64, bool)>> = BTreeMap::new();
     for rec in records {
         for e in &rec.entries {
-            let key = (rec.command.clone(), e.workload.clone());
+            let key = SeriesKey::of(rec, e);
             for (stage, p) in &e.stages {
                 stage_series
                     .entry((key.clone(), stage.clone()))
@@ -210,7 +224,7 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
     }
 
     report.series = stage_series.len();
-    for (((command, workload), stage), series) in &stage_series {
+    for ((key, stage), series) in &stage_series {
         let Some((at, base, cur, threshold)) = detect_step(series) else {
             continue;
         };
@@ -222,8 +236,7 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
             0.0
         };
         report.findings.push(TrendFinding {
-            command: command.clone(),
-            workload: workload.clone(),
+            series: key.clone(),
             stage: stage.clone(),
             kind: TrendKind::Step {
                 base_ms: base,
@@ -241,7 +254,7 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
         });
     }
 
-    for ((command, workload), series) in &bits_series {
+    for (key, series) in &bits_series {
         for (i, w) in series.windows(2).enumerate() {
             let ((from, _), (to, refresh)) = (w[0], w[1]);
             if from == to {
@@ -251,8 +264,7 @@ pub fn analyze(records: &[LedgerRecord], window: usize) -> TrendReport {
                 continue; // explicit baseline refresh: the change is declared
             }
             report.findings.push(TrendFinding {
-                command: command.clone(),
-                workload: workload.clone(),
+                series: key.clone(),
                 stage: "modeled_time_bits".into(),
                 kind: TrendKind::BitsChange {
                     from,
@@ -463,6 +475,25 @@ mod tests {
         let recs = series(3, |_| 100.0, |_| 800.0, 5.0, |_| 1);
         let report = analyze(&recs, DEFAULT_WINDOW);
         assert!(report.findings.is_empty());
+    }
+
+    #[test]
+    fn series_are_keyed_by_scale() {
+        // One workload at two scales: different point counts, so different
+        // bits. That is two series, not a bits flip.
+        let mut recs = series(2, |_| 100.0, |_| 800.0, 5.0, |i| 0x1111 + i as u64);
+        recs[1].scale = 0.02;
+        let report = analyze(&recs, DEFAULT_WINDOW);
+        assert!(report.findings.is_empty(), "{:?}", report.findings);
+        // The same two records at one scale are a bits flip.
+        recs[1].scale = recs[0].scale;
+        let report = analyze(&recs, DEFAULT_WINDOW);
+        let flip = report.gating();
+        assert_eq!(flip.len(), 1, "{:?}", report.findings);
+        assert_eq!(
+            flip[0].series.label(&flip[0].stage),
+            "bench/s1/sw1-eps0.2/global@0.002/modeled_time_bits"
+        );
     }
 
     #[test]

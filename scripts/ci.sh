@@ -62,6 +62,8 @@ step "differential quick (RAYON_NUM_THREADS=4)" \
 rm -rf target/ci-ledger
 mkdir -p target/ci-ledger
 cp results/ledger/ledger.jsonl target/ci-ledger/ 2>/dev/null || true
+ledger_records() { cat target/ci-ledger/ledger.jsonl 2>/dev/null | grep -c .; }
+seed_records=$(ledger_records)
 step "bench smoke" ./target/release/repro bench \
     --scale 0.002 --trials 1 --warmup 0 --csv target/ci-bench \
     --compare results/baselines/smoke.json --ledger target/ci-ledger
@@ -83,26 +85,35 @@ step "threads smoke (RAYON_NUM_THREADS=8)" \
     env RAYON_NUM_THREADS=8 ./target/release/repro threads \
     --scale 0.002 --trials 1 --csv target/ci-threads --ledger target/ci-ledger
 
-# Shard smoke tier (ISSUE 8): sharded vs unsharded table and clustering
+# Shard smoke tier: sharded vs unsharded table and clustering
 # fingerprints at k=2 (both modes) and k=4 out-of-core. The binary exits
 # nonzero on any mismatch — always fatal, like the bench smoke.
 step "shard smoke" ./target/release/repro shard --scale 0.002 \
     --csv target/ci-shard --ledger target/ci-ledger
 
-# Backend ablation smoke tier (ISSUE 10): grid vs tree vs auto ε-search
-# on the ablation workloads (uniform + skewed 2-D, 3-D and 4-D
-# lattices), run at one and at four host threads: the neighbor tables
-# and clusterings must be bitwise identical across all three backends
-# and both pool sizes. The binary exits nonzero on any fingerprint
-# mismatch — always fatal; the auto-selector accuracy floor (>= 90% of
-# workloads matching the modeled winner) is advisory unless
-# BENCH_STRICT=1.
+# Backend ablation smoke tier: grid vs tree vs auto ε-search on the
+# ablation workloads (uniform + skewed 2-D, 3-D and 4-D lattices), run at
+# one and at four host threads. Within each run the binary checks that
+# the neighbor tables and clusterings are bitwise identical across all
+# three backends and exits nonzero on any fingerprint mismatch — always
+# fatal; the auto-selector accuracy floor (>= 90% of workloads matching
+# the modeled winner) is advisory unless BENCH_STRICT=1. Across the two
+# pool sizes, the report step below compares the modeled time bits of the
+# two backend ledger records: a change is a gating trend finding, fatal
+# under TREND_STRICT=1.
 step "backend smoke (RAYON_NUM_THREADS=1)" \
-    env RAYON_NUM_THREADS=1 ./target/release/repro backend --scale 0.002
+    env RAYON_NUM_THREADS=1 ./target/release/repro backend --scale 0.002 \
+    --csv target/ci-backend --ledger target/ci-ledger
 step "backend smoke (RAYON_NUM_THREADS=4)" \
-    env RAYON_NUM_THREADS=4 ./target/release/repro backend --scale 0.002
+    env RAYON_NUM_THREADS=4 ./target/release/repro backend --scale 0.002 \
+    --csv target/ci-backend --ledger target/ci-ledger
 
-# Report smoke tier (ISSUE 9): render the trend dashboard over the
+# Every smoke invocation above appends exactly one run record to the
+# CI-local ledger: bench, profile, threads, shard, and backend twice.
+step "ledger: one record per smoke run" \
+    test "$(ledger_records)" -eq "$((seed_records + 6))"
+
+# Report smoke tier: render the trend dashboard over the
 # CI-local ledger (committed history + the smoke runs above). The binary
 # is the gate: it exits nonzero if the ledger is unreadable or the
 # dashboard's embedded JSON payload fails round-trip validation; trend
