@@ -1,13 +1,16 @@
 //! Criterion benches for the spatial indexes: construction and
 //! ε-neighborhood query throughput of grid vs R-tree (bulk and dynamic)
-//! vs kd-tree. The grid's construction advantage is the paper's aside
-//! that "the grid indexes can be constructed faster than the R-tree".
+//! vs the packed kd-tree of the tree backend. The grid's construction
+//! advantage is the paper's aside that "the grid indexes can be
+//! constructed faster than the R-tree".
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use spatial::{GridIndex, KdTree, Point2, RTree};
+use spatial::{GridIndex, PackedKdTree, Point2, PointN, PointStore, PointsViewN, RTree};
 
 fn bench_construction(c: &mut Criterion) {
     let data = datasets::spec::SDSS1.generate(0.005).points;
+    let store = PointStore::from_points(&data);
+    let points = PointsViewN::from(store.view());
     let mut group = c.benchmark_group("index-construction");
     group.sample_size(10);
 
@@ -22,7 +25,7 @@ fn bench_construction(c: &mut Criterion) {
             t
         })
     });
-    group.bench_function("kdtree", |b| b.iter(|| KdTree::build(&data)));
+    group.bench_function("packed-kdtree", |b| b.iter(|| PackedKdTree::build(points)));
     group.finish();
 }
 
@@ -31,7 +34,9 @@ fn bench_queries(c: &mut Criterion) {
     let eps = 0.3;
     let grid = GridIndex::build(&data, eps);
     let rtree = RTree::bulk_load(&data);
-    let kdtree = KdTree::build(&data);
+    let store = PointStore::from_points(&data);
+    let points = PointsViewN::from(store.view());
+    let tree = PackedKdTree::build(points);
     let queries: Vec<Point2> = data.iter().step_by(37).copied().collect();
 
     let mut group = c.benchmark_group("index-queries");
@@ -64,13 +69,13 @@ fn bench_queries(c: &mut Criterion) {
         },
     );
     group.bench_with_input(
-        BenchmarkId::new("kdtree", queries.len()),
+        BenchmarkId::new("packed-kdtree", queries.len()),
         &queries,
         |b, qs| {
             b.iter(|| {
                 let mut hits = 0usize;
                 for q in qs {
-                    kdtree.query_eps_visit(q, eps, |_| hits += 1);
+                    tree.query_eps_visit(points, &PointN::from(*q), eps, |_| hits += 1);
                 }
                 hits
             })

@@ -4,86 +4,25 @@
 //!   (the paper asserts "3 streams, more achieved no gain" without data).
 //! * `blocksize` — GPUCalcShared block-size sensitivity (the paper used
 //!   256 and flags the choice as a limitation).
-//! * `index` — grid vs R-tree vs kd-tree as the host DBSCAN neighbor
-//!   source (why the GPU path uses a grid).
+//! * `index` — grid vs R-tree vs packed kd-tree as the host DBSCAN
+//!   neighbor source (why the GPU path uses a grid).
 //! * `alpha` — batching overestimation-factor sensitivity: batch counts
 //!   and overflow margin vs α.
 //! * `hybrid-split` — the paper's future-work kernel: Shared for dense
 //!   cells, Global for the rest.
 //! * `bandwidth` — the paper's other future-work item: how Hybrid-DBSCAN
 //!   responds to host-GPU bandwidth growth (PCIe 2/3/4, NVLink-class).
-//! * `gdbscan` — head-to-head against G-DBSCAN (the paper's reference
-//!   [6]), the "cluster entirely on the GPU" alternative the paper argues
-//!   against: its O(|D|²) indexless graph construction quadruples per
-//!   size doubling and loses to the grid-indexed hybrid past ~10⁵ points.
 
 use crate::common::{fmt_secs, DatasetCache, Options, TextTable};
 use gpu_sim::memory::DeviceAppendBuffer;
 use gpu_sim::Device;
 use hybrid_dbscan_core::batch::BatchConfig;
-use hybrid_dbscan_core::dbscan::{Dbscan, GridSource, KdTreeSource, RTreeSource};
+use hybrid_dbscan_core::dbscan::{Dbscan, GridSource, PackedTreeSource, RTreeSource};
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan};
 use hybrid_dbscan_core::kernels::{GpuCalcGlobal, GpuCalcShared, NeighborPair};
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, KdTree, PointStore, RTree};
+use spatial::{GridIndex, PackedKdTree, PointStore, PointsViewN, RTree};
 use std::time::Instant;
-
-/// On-GPU competitor comparison: Hybrid-DBSCAN vs G-DBSCAN vs
-/// CUDA-DClust across dataset sizes. G-DBSCAN's
-/// indexless O(|D|²) graph construction is competitive at small |D| but
-/// loses past the crossover — exactly the scaling argument behind the
-/// paper's grid-index design.
-pub fn gdbscan(opts: &Options) {
-    use hybrid_dbscan_core::cuda_dclust::cuda_dclust;
-    use hybrid_dbscan_core::gdbscan::g_dbscan;
-
-    println!("== Ablation: Hybrid-DBSCAN vs on-GPU clustering (paper refs. [5], [6]) ==\n");
-    let device = Device::k20c();
-    let mut cache = DatasetCache::new(opts.scale);
-    let selected = opts.select(&["SDSS1"]);
-    let mut t = TextTable::new(&[
-        "Dataset",
-        "n",
-        "Hybrid",
-        "G-DBSCAN",
-        "(graph)",
-        "CUDA-DClust",
-        "(launches)",
-    ]);
-    for name in &selected {
-        let full = cache.get(name).points.clone();
-        let eps = 0.3;
-        for target in [5_000usize, 10_000, 20_000, 40_000] {
-            if target > full.len() {
-                continue;
-            }
-            let data: Vec<_> = full
-                .iter()
-                .step_by((full.len() / target).max(1))
-                .copied()
-                .collect();
-            let hybrid = HybridDbscan::new(&device, HybridConfig::default());
-            let h = hybrid.run(&data, eps, 4).expect("hybrid failed");
-            let g = g_dbscan(&device, &data, eps, 4).expect("g-dbscan failed");
-            let c = cuda_dclust(&device, &data, eps, 4, 256).expect("cuda-dclust failed");
-            assert_eq!(h.clustering.num_clusters(), g.clustering.num_clusters());
-            assert_eq!(h.clustering.num_clusters(), c.clustering.num_clusters());
-            t.row(vec![
-                name.clone(),
-                data.len().to_string(),
-                fmt_secs(h.timings.gpu_phase.as_secs() + h.timings.dbscan_wall.as_secs_f64()),
-                fmt_secs(g.report.modeled_time.as_secs()),
-                fmt_secs(g.report.graph_time.as_secs()),
-                fmt_secs(c.report.modeled_time.as_secs()),
-                c.report.launches.to_string(),
-            ]);
-        }
-    }
-    t.print();
-    println!(
-        "\n(Hybrid = modeled GPU phase + measured host DBSCAN wall time.\n G-DBSCAN's graph column quadruples per size doubling — the quadratic,\n indexless build; extrapolated to the paper's 2M-15M point datasets it is\n 80s-4500s vs seconds for the grid-indexed hybrid. CUDA-DClust pays many\n underutilized chain-expansion launches instead.)"
-    );
-}
 
 /// Bandwidth ablation (the paper's Discussion: "the performance of
 /// HYBRID-DBSCAN is likely to improve over CPU algorithms as host-GPU
@@ -218,8 +157,8 @@ pub fn blocksize(opts: &Options) {
     t.print();
 }
 
-/// Index ablation: host DBSCAN wall time with grid / R-tree / kd-tree
-/// neighbor sources.
+/// Index ablation: host DBSCAN wall time with grid / R-tree / packed
+/// kd-tree neighbor sources.
 pub fn index(opts: &Options) {
     println!("== Ablation: host neighbor-source index (DBSCAN wall time) ==\n");
     let mut cache = DatasetCache::new(opts.scale);
@@ -227,10 +166,12 @@ pub fn index(opts: &Options) {
     let mut t = TextTable::new(&["Dataset", "eps", "grid", "R-tree", "kd-tree"]);
     for name in &selected {
         let data = cache.get(name).points.clone();
+        let store = PointStore::from_points(&data);
+        let points = PointsViewN::from(store.view());
+        let tree = PackedKdTree::build(points);
         for eps in [0.2, 0.8] {
             let grid = GridIndex::build(&data, eps);
             let rtree = RTree::bulk_load(&data);
-            let kdtree = KdTree::build(&data);
             let time = |f: &dyn Fn() -> u32| {
                 let t0 = Instant::now();
                 let clusters = f();
@@ -248,7 +189,7 @@ pub fn index(opts: &Options) {
             });
             let (tk, ck) = time(&|| {
                 Dbscan::new(4)
-                    .run(&KdTreeSource::new(&kdtree, &data, eps))
+                    .run(&PackedTreeSource::new(&tree, points, eps))
                     .num_clusters()
             });
             assert_eq!(cg, cr);

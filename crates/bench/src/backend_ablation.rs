@@ -13,7 +13,7 @@
 //! dimensions.
 //!
 //! The rows ride in the `repro bench` suite ([`run_backend_workloads`]);
-//! [`print`] is `repro backend`, the CI smoke step: it prints the
+//! [`print()`] is `repro backend`, the CI smoke step: it prints the
 //! per-workload grid/tree/auto comparison, writes `BENCH_backend.json`,
 //! and exits nonzero on any fingerprint mismatch, or — under
 //! `BENCH_STRICT=1` — when the auto selector matches the per-workload

@@ -41,8 +41,6 @@ use bench::{
 };
 
 fn run_ablations(opts: &Options) {
-    ablations::gdbscan(opts);
-    println!();
     ablations::bandwidth(opts);
     println!();
     ablations::streams(opts);

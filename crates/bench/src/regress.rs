@@ -3,7 +3,7 @@
 //! Runs a fixed suite of S1/S2/S3 workloads (kernel variant × dataset ×
 //! ε), each with warmup + N timed trials, and summarizes every stage
 //! (`build_table`, `dbscan`, and the modeled device time)
-//! as median/MAD/IQR ([`crate::stats`]). Per-kernel device counters
+//! as median/MAD/IQR ([`obs::stats`]). Per-kernel device counters
 //! (occupancy, global-memory GB/s, atomics) come from
 //! [`gpu_sim::profiler::KernelProfile`] and are threaded through
 //! [`obs::Metrics`] via [`obs::bench::record_kernel_profile`]. Results are

@@ -13,7 +13,7 @@
 //!   the limit the unsharded build cannot fit in. A sharded row whose
 //!   fingerprints differ from the k = 1 row fails the run
 //!   ([`mismatches`]) — the bench must never time a wrong answer.
-//! * [`print`] — `repro shard`: the CI smoke step. Builds the table
+//! * [`print()`] — `repro shard`: the CI smoke step. Builds the table
 //!   unsharded and at k = 2 in both modes (plus k = 4 out-of-core),
 //!   compares table and clustering fingerprints, and exits nonzero on
 //!   any mismatch.

@@ -15,7 +15,7 @@ mod sources;
 
 pub use algorithm1::{dbscan_algorithm1, Algorithm1Output};
 pub use clustering::{Clustering, PointLabel};
-pub use sources::{GridSource, KdTreeSource, NeighborSource, RTreeSource, TableSource};
+pub use sources::{GridSource, NeighborSource, PackedTreeSource, RTreeSource, TableSource};
 
 use crate::table::NeighborTable;
 

@@ -2,7 +2,7 @@
 //! answers its ε-neighborhood queries.
 
 use crate::table::NeighborTable;
-use spatial::{GridIndex, KdTree, Point2, RTree};
+use spatial::{GridIndex, PackedKdTree, Point2, PointsViewN, RTree};
 
 /// Supplies the ε-neighborhood of each point by id.
 ///
@@ -73,29 +73,32 @@ impl NeighborSource for RTreeSource<'_> {
     }
 }
 
-/// Neighbor source backed by a kd-tree (ablation comparator).
-pub struct KdTreeSource<'a> {
-    tree: &'a KdTree,
-    data: &'a [Point2],
+/// Neighbor source backed by the packed kd-tree of the tree ε-search
+/// backend, queried on the host. `points` must be the view the tree was
+/// built over; query centers are read from it.
+pub struct PackedTreeSource<'a, const D: usize> {
+    tree: &'a PackedKdTree<D>,
+    points: PointsViewN<'a, D>,
     eps: f64,
 }
 
-impl<'a> KdTreeSource<'a> {
-    pub fn new(tree: &'a KdTree, data: &'a [Point2], eps: f64) -> Self {
-        KdTreeSource { tree, data, eps }
+impl<'a, const D: usize> PackedTreeSource<'a, D> {
+    pub fn new(tree: &'a PackedKdTree<D>, points: PointsViewN<'a, D>, eps: f64) -> Self {
+        PackedTreeSource { tree, points, eps }
     }
 }
 
-impl NeighborSource for KdTreeSource<'_> {
+impl<const D: usize> NeighborSource for PackedTreeSource<'_, D> {
     fn neighbors<'a>(&'a self, id: u32, scratch: &'a mut Vec<u32>) -> &'a [u32] {
         scratch.clear();
+        let q = self.points.get(id as usize);
         self.tree
-            .query_eps_visit(&self.data[id as usize], self.eps, |n| scratch.push(n));
+            .query_eps_visit(self.points, &q, self.eps, |n| scratch.push(n));
         scratch
     }
 
     fn num_points(&self) -> usize {
-        self.data.len()
+        self.points.len()
     }
 }
 
@@ -126,6 +129,7 @@ impl NeighborSource for TableSource<'_> {
 mod tests {
     use super::*;
     use spatial::distance::brute_force_neighbors;
+    use spatial::PointStore;
 
     fn data() -> Vec<Point2> {
         (0..60)
@@ -147,18 +151,20 @@ mod tests {
         let eps = 1.2;
         let grid = GridIndex::build(&data, eps);
         let rtree = RTree::bulk_load(&data);
-        let kdtree = KdTree::build(&data);
+        let store = PointStore::from_points(&data);
+        let points = PointsViewN::from(store.view());
+        let tree = PackedKdTree::build(points);
 
         let gs = GridSource::new(&grid, &data);
         let rs = RTreeSource::new(&rtree, &data, eps);
-        let ks = KdTreeSource::new(&kdtree, &data, eps);
+        let ts = PackedTreeSource::new(&tree, points, eps);
 
         for id in 0..data.len() as u32 {
             let expected = brute_force_neighbors(&data, &data[id as usize], eps);
             for (name, src) in [
                 ("grid", &gs as &dyn NeighborSource),
                 ("rtree", &rs),
-                ("kdtree", &ks),
+                ("packed-tree", &ts),
             ] {
                 let mut scratch = Vec::new();
                 let got = src.neighbors(id, &mut scratch).to_vec();
@@ -174,6 +180,10 @@ mod tests {
         assert_eq!(GridSource::new(&grid, &data).num_points(), 60);
         let rtree = RTree::bulk_load(&data);
         assert_eq!(RTreeSource::new(&rtree, &data, 1.0).num_points(), 60);
+        let store = PointStore::from_points(&data);
+        let points = PointsViewN::from(store.view());
+        let tree = PackedKdTree::build(points);
+        assert_eq!(PackedTreeSource::new(&tree, points, 1.0).num_points(), 60);
     }
 
     #[test]

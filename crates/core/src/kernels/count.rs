@@ -9,13 +9,13 @@
 //! significant overhead"), so it runs in negligible time; the estimate is
 //! then `a_b = e_b / f`.
 
-use super::{load_cell_range, scan_cell_range};
+use super::{load_cell_range, scan_ids};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel};
 use gpu_sim::launch::LaunchConfig;
 use gpu_sim::memory::DeviceCounter;
 use spatial::grid::CellsView;
-use spatial::{GridGeometry, PointsView};
+use spatial::{GridGeometry, PointsView, PointsViewN};
 
 /// Counts neighbors-within-ε over a strided sample of the database.
 pub struct NeighborCountKernel<'a> {
@@ -57,6 +57,7 @@ impl BlockKernel for NeighborCountKernel<'_> {
         let stride = self.stride.max(1);
         let samples = Self::sample_size(n_points, stride) as u64;
         let eps_sq = self.eps * self.eps;
+        let points = PointsViewN::from(self.points);
 
         ctx.for_each_thread(|t| {
             if t.gid >= samples {
@@ -75,13 +76,11 @@ impl BlockKernel for NeighborCountKernel<'_> {
             let mut local = 0u64;
             for &cell_id in &cells[..n_cells] {
                 let range = load_cell_range(t, &self.grid, cell_id);
-                scan_cell_range(
+                scan_ids(
                     t,
-                    self.points,
-                    self.lookup,
-                    range,
-                    qx,
-                    qy,
+                    points,
+                    &self.lookup[range.start as usize..range.end as usize],
+                    &[qx, qy],
                     eps_sq,
                     |_, hits| local += hits.len() as u64,
                 );

@@ -5,7 +5,7 @@
 //! contain neighbors, scans each cell's `[A_min, A_max]` range of the
 //! lookup array, computes distances, and atomically appends each hit to
 //! the device result buffer as a `(point, neighbor)` pair. The scan runs
-//! chunk-wise over the SoA coordinate store ([`super::scan_cell_range`]):
+//! chunk-wise over the SoA coordinate store ([`super::scan_ids`]):
 //! same hits, same modeled cost, a fraction of the host wall-clock.
 //!
 //! **Batching** (Section VI): with `n_b` batches, batch `l` processes the
@@ -14,13 +14,13 @@
 //! per-batch result sizes `|R_l|` stay consistent (Figure 2). The launch
 //! covers `ceil(|D| / n_b)` points.
 
-use super::{load_cell_range, scan_cell_range, NeighborPair};
+use super::{load_cell_range, scan_ids, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ChargeBatch};
 use gpu_sim::launch::LaunchConfig;
 use gpu_sim::memory::DeviceAppendBuffer;
 use spatial::grid::{CellRange, CellsView};
-use spatial::{GridGeometry, PointsView};
+use spatial::{GridGeometry, PointsView, PointsViewN};
 
 /// Algorithm 2: thread-per-point ε-neighborhood kernel over global memory.
 pub struct GpuCalcGlobal<'a> {
@@ -69,6 +69,7 @@ impl BlockKernel for GpuCalcGlobal<'_> {
         let n_points = self.points.len();
         let eps_sq = self.eps * self.eps;
         let in_batch = Self::points_in_batch(n_points, self.n_batches, self.batch) as u64;
+        let points = PointsViewN::from(self.points);
         let mut stage = self.result.stage();
 
         ctx.for_each_thread(|t| {
@@ -98,13 +99,11 @@ impl BlockKernel for GpuCalcGlobal<'_> {
             for &cell_id in &cells[..n_cells] {
                 // lookupMin/Max <- G[cellID].
                 let range = load_cell_range(t, &self.grid, cell_id);
-                scan_cell_range(
+                scan_ids(
                     t,
-                    self.points,
-                    self.lookup,
-                    range,
-                    qx,
-                    qy,
+                    points,
+                    &self.lookup[range.start as usize..range.end as usize],
+                    &[qx, qy],
                     eps_sq,
                     |t, hits| {
                         // atomic: gpuResultSet <- gpuResultSet ∪ result —

@@ -4,12 +4,11 @@
 //! over [`spatial::GridIndexN`]: thread per point, the `3^D` stencil of
 //! adjacent cells instead of 9, each cell resolved by binary search over
 //! the sparse `u64` key array (charged as probe reads), and the shared
-//! chunked ε-scan of [`super::tree::scan_ids_nd`]. This is what the tree
+//! chunked ε-scan of [`super::scan_ids`]. This is what the tree
 //! backend is measured against in higher dimensions: the stencil grows
 //! `3^D` while the tree's candidate volume stays `(2ε)^D`.
 
-use super::tree::scan_ids_nd;
-use super::NeighborPair;
+use super::{scan_ids, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ChargeBatch, ThreadCtx};
 use gpu_sim::launch::LaunchConfig;
@@ -78,7 +77,7 @@ impl<const D: usize> BlockKernel for GpuCalcGridNd<'_, D> {
 
             for &h in &stencil[..n_cells] {
                 let range = load_cell_range_nd(t, &self.cells, h);
-                scan_ids_nd(
+                scan_ids(
                     t,
                     self.points,
                     &self.lookup[range.start as usize..range.end as usize],
@@ -145,7 +144,7 @@ impl<const D: usize> BlockKernel for GridNdCountKernel<'_, D> {
             let mut local = 0u64;
             for &h in &stencil[..n_cells] {
                 let range = load_cell_range_nd(t, &self.cells, h);
-                scan_ids_nd(
+                scan_ids(
                     t,
                     self.points,
                     &self.lookup[range.start as usize..range.end as usize],

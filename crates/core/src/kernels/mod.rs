@@ -12,8 +12,10 @@
 //!   sample of points.
 //!
 //! All kernels emit key/value pairs `(k_j, v_j)` where `v_j ∈ N_ε(k_j)`,
-//! appended to a [`DeviceAppendBuffer`] through the atomic cursor — the
-//! `atomic: gpuResultSet ∪ result` of the pseudo-code. Append overflow is
+//! appended to a
+//! [`DeviceAppendBuffer`](gpu_sim::memory::DeviceAppendBuffer) through
+//! the atomic cursor — the `atomic: gpuResultSet ∪ result` of the
+//! pseudo-code. Append overflow is
 //! recorded in the buffer rather than corrupting memory; the batching
 //! scheme's job is to make it never happen.
 
@@ -31,7 +33,7 @@ pub use tree::{GpuCalcTree, TreeCountKernel};
 
 use gpu_sim::kernel::{ChargeBatch, ThreadCtx};
 use spatial::grid::{CellRange, CellsView};
-use spatial::PointsView;
+use spatial::PointsViewN;
 
 /// A result-set item: `key` is a point id, `value` a point id within ε of
 /// it. Layout matches the 8-byte pairs the device sort operates on.
@@ -55,65 +57,69 @@ pub(crate) fn load_cell_range(t: &mut ThreadCtx, grid: &CellsView<'_>, h: u32) -
     grid.range_of(h)
 }
 
-/// The shared ε-neighborhood inner loop: scan the candidates `A[k]` for
-/// `k ∈ [range.start, range.end)` and invoke `on_hits` once per chunk
-/// with the candidates within the closed ε-ball around `(qx, qy)`, in
-/// `k` order (so callers can append and account hits in bulk).
+/// The ε-neighborhood inner loop of the global-memory grid, count and
+/// tree kernels in every dimension: scan the candidate ids `ids` and
+/// invoke `on_hits` once per chunk with the candidates within the closed
+/// ε-ball around `q`, in `ids` order (so callers can append and account
+/// hits in bulk).
 ///
 /// The scan runs chunk-wise over [`SCAN_LANES`]-wide lanes of the SoA
 /// coordinate arrays:
 ///
-/// * the x-axis distance is computed first for the whole chunk and the
-///   y pass is skipped when every lane already has `fl(dx²) > ε²` — safe
-///   because `fl(fl(dx²) + fl(dy²)) ≥ fl(dx²)` (f64 rounding is monotone
-///   and `fl(dy²) ≥ 0`), so no such lane can be a hit;
-/// * lane arithmetic (`d2 = dx·dx` then `d2 += dy·dy`) performs exactly
-///   the mul-mul-add rounding sequence of `Point2::distance_sq`, so hit
-///   decisions are bit-identical to the scalar loop;
+/// * dimension 0 is computed first for the whole chunk and the remaining
+///   dimensions are skipped when every lane already has `fl(dx₀²) > ε²` —
+///   safe because f64 rounding is monotone and each added square is
+///   non-negative, so no such lane can be a hit;
+/// * lane arithmetic accumulates squares in dimension order, the exact
+///   rounding sequence of [`spatial::PointN::distance_sq`] (at `D = 2`
+///   the mul-mul-add chain of `Point2::distance_sq`), so hit decisions
+///   are bit-identical to the scalar loop;
 /// * `gpu_sim` accounting is charged once per chunk via [`ChargeBatch`]
-///   (per candidate: the `A[k]` id read, the point read, 5 distance
-///   flops), which the cost model guarantees is bitwise identical to
-///   per-element charging.
+///   (per candidate: the id read, `D` coordinate reads, `3D − 1`
+///   distance flops — 5 at `D = 2`), which the cost model guarantees is
+///   bitwise identical to per-element charging.
 #[inline]
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn scan_cell_range(
+pub(crate) fn scan_ids<const D: usize>(
     t: &mut ThreadCtx,
-    points: PointsView<'_>,
-    lookup: &[u32],
-    range: CellRange,
-    qx: f64,
-    qy: f64,
+    points: PointsViewN<'_, D>,
+    ids: &[u32],
+    q: &[f64; D],
     eps_sq: f64,
     mut on_hits: impl FnMut(&mut ThreadCtx, &[u32]),
 ) {
-    let mut k = range.start as usize;
-    let end = range.end as usize;
+    let mut k = 0usize;
+    let end = ids.len();
     while k < end {
         let c = (end - k).min(SCAN_LANES);
         let mut batch = ChargeBatch {
-            flops: 5 * c as u64,
+            flops: (3 * D as u64 - 1) * c as u64,
             ..ChargeBatch::default()
         };
         batch.read_global::<u32>(c as u64);
-        batch.read_global::<spatial::Point2>(c as u64);
+        batch.read_global::<f64>((D * c) as u64);
         t.charge_batch(batch);
 
-        let ids = &lookup[k..k + c];
+        let chunk = &ids[k..k + c];
         let mut d2 = [0.0f64; SCAN_LANES];
         let mut all_far = true;
-        for (j, &id) in ids.iter().enumerate() {
-            let dx = qx - points.xs[id as usize];
+        for (j, &id) in chunk.iter().enumerate() {
+            let dx = q[0] - points.coords[0][id as usize];
             d2[j] = dx * dx;
             all_far &= d2[j] > eps_sq;
         }
         if !all_far {
-            for (j, &id) in ids.iter().enumerate() {
-                let dy = qy - points.ys[id as usize];
-                d2[j] += dy * dy;
+            // Axis-major lane loop mirroring the SoA layout; `q` and
+            // `coords` are indexed by the same axis on purpose.
+            #[allow(clippy::needless_range_loop)]
+            for axis in 1..D {
+                for (j, &id) in chunk.iter().enumerate() {
+                    let dx = q[axis] - points.coords[axis][id as usize];
+                    d2[j] += dx * dx;
+                }
             }
             let mut hits = [0u32; SCAN_LANES];
             let mut h = 0;
-            for (j, &id) in ids.iter().enumerate() {
+            for (j, &id) in chunk.iter().enumerate() {
                 if d2[j] <= eps_sq {
                     hits[h] = id;
                     h += 1;

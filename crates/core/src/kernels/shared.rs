@@ -8,7 +8,7 @@
 //! exploiting shared-memory bandwidth for the O(m·n) distance work. The
 //! staged tiles are SoA (separate x/y arrays, same byte footprint), and
 //! the per-thread compare loop runs chunk-wise with the hoisted x-axis
-//! filter of [`super::scan_cell_range`] — same hits, same modeled cost.
+//! filter of [`super::scan_ids`] — same hits, same modeled cost.
 //!
 //! The paper's pseudo-code assumes cells no larger than the block; the
 //! real implementation (and this one) adds the outer tiling loop it
@@ -156,7 +156,7 @@ impl BlockKernel for GpuCalcShared<'_> {
                     // and scans the staged comparison tile from shared
                     // memory, chunk-wise over SoA lanes with the x-axis
                     // filter hoisted (bit-identical hit decisions; see
-                    // scan_cell_range for the argument). Lanes without an
+                    // scan_ids for the argument). Lanes without an
                     // origin point idle, but the warp-max accounting still
                     // charges their warp the active lanes' cost — and the
                     // block keeps paying the staging loads and barriers

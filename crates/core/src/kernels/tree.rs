@@ -25,7 +25,7 @@
 //! sparse uniform 2-D data does not — which is exactly the trade-off the
 //! [`crate::backend`] selector navigates.
 
-use super::{NeighborPair, SCAN_LANES};
+use super::{scan_ids, NeighborPair};
 use gpu_sim::error::DeviceError;
 use gpu_sim::kernel::{BlockCtx, BlockKernel, ChargeBatch, ThreadCtx};
 use gpu_sim::launch::LaunchConfig;
@@ -37,73 +37,6 @@ use spatial::{PointsViewN, TreeView};
 /// cap (24) plus the push-two-pop-one slack.
 const STACK_CAP: usize = 32;
 
-/// The dimension-generic ε-scan of a candidate id list — the ND analogue
-/// of [`super::scan_cell_range`], shared by the tree and ND-grid kernels.
-///
-/// Chunked over [`SCAN_LANES`]; dimension 0 is computed first for the
-/// whole chunk and the remaining dimensions are skipped when every lane
-/// already has `fl(dx₀²) > ε²` (safe: f64 rounding is monotone and each
-/// added square is non-negative). Lane arithmetic accumulates squares in
-/// dimension order, the exact rounding sequence of
-/// [`spatial::PointN::distance_sq`] — at `D = 2` bit-identical to the
-/// 2-D kernels' scan. Charged per chunk: the id read, `D` coordinate
-/// reads, and `3D − 1` distance flops per candidate (5 at `D = 2`,
-/// matching the 2-D scan).
-#[inline]
-pub(crate) fn scan_ids_nd<const D: usize>(
-    t: &mut ThreadCtx,
-    points: PointsViewN<'_, D>,
-    ids: &[u32],
-    q: &[f64; D],
-    eps_sq: f64,
-    mut on_hits: impl FnMut(&mut ThreadCtx, &[u32]),
-) {
-    let mut k = 0usize;
-    let end = ids.len();
-    while k < end {
-        let c = (end - k).min(SCAN_LANES);
-        let mut batch = ChargeBatch {
-            flops: (3 * D as u64 - 1) * c as u64,
-            ..ChargeBatch::default()
-        };
-        batch.read_global::<u32>(c as u64);
-        batch.read_global::<f64>((D * c) as u64);
-        t.charge_batch(batch);
-
-        let chunk = &ids[k..k + c];
-        let mut d2 = [0.0f64; SCAN_LANES];
-        let mut all_far = true;
-        for (j, &id) in chunk.iter().enumerate() {
-            let dx = q[0] - points.coords[0][id as usize];
-            d2[j] = dx * dx;
-            all_far &= d2[j] > eps_sq;
-        }
-        if !all_far {
-            // Axis-major lane loop mirroring the SoA layout; `q` and
-            // `coords` are indexed by the same axis on purpose.
-            #[allow(clippy::needless_range_loop)]
-            for axis in 1..D {
-                for (j, &id) in chunk.iter().enumerate() {
-                    let dx = q[axis] - points.coords[axis][id as usize];
-                    d2[j] += dx * dx;
-                }
-            }
-            let mut hits = [0u32; SCAN_LANES];
-            let mut h = 0;
-            for (j, &id) in chunk.iter().enumerate() {
-                if d2[j] <= eps_sq {
-                    hits[h] = id;
-                    h += 1;
-                }
-            }
-            if h > 0 {
-                on_hits(t, &hits[..h]);
-            }
-        }
-        k += c;
-    }
-}
-
 /// Stack-based ε-ball traversal of the packed tree, invoking `on_hits`
 /// per hit chunk. Shared by the calc and count kernels so both charge the
 /// same traversal cost.
@@ -111,7 +44,7 @@ pub(crate) fn scan_ids_nd<const D: usize>(
 /// Per visited node the thread pays one *dependent* global read for the
 /// 8-byte node record (split or leaf range — its address came from the
 /// parent's visit) plus the 4-byte axis tag and the two bound
-/// comparisons; leaves then scan their id range via [`scan_ids_nd`].
+/// comparisons; leaves then scan their id range via [`scan_ids`].
 #[inline]
 fn traverse_eps<const D: usize>(
     t: &mut ThreadCtx,
@@ -140,7 +73,7 @@ fn traverse_eps<const D: usize>(
         let axis = tree.axes[node];
         if axis == LEAF_AXIS {
             let r = tree.ranges[node];
-            scan_ids_nd(
+            scan_ids(
                 t,
                 points,
                 &tree.ids[r.start as usize..r.end as usize],

@@ -22,21 +22,13 @@
 //!   scenario S2 (§VII-E).
 //! * [`reuse`] — neighbor-table reuse across `minpts` values, scenario S3
 //!   (§VII-F).
-//! * [`reference`] — the sequential R-tree DBSCAN the paper compares
+//! * [`reference`](mod@reference) — the sequential R-tree DBSCAN the paper compares
 //!   against, with neighbor-search time accounting (Table I).
 //! * [`scenario`] — the published experiment parameter sets
 //!   (Tables III and V).
 //!
 //! Extensions beyond the paper (DESIGN.md §5):
 //!
-//! * [`optics`] — OPTICS and its ε'-cut extraction, the technique the
-//!   paper positions S3 against.
-//! * [`gdbscan`] — G-DBSCAN (Andrade et al., the paper's reference [6]):
-//!   the "cluster entirely on the GPU" competitor family, for head-to-head
-//!   comparison with the hybrid approach.
-//! * [`cuda_dclust`] — CUDA-DClust (Böhm et al., the paper's reference
-//!   [5]): parallel chain expansion with host-side collision resolution,
-//!   the original member of that family.
 //! * [`oracle`] — brute-force exact-DBSCAN ground truth (core/border/noise
 //!   classification, core components, validity and equivalence checks)
 //!   backing the differential test harness in `tests/differential/`.
@@ -51,13 +43,10 @@
 
 pub mod backend;
 pub mod batch;
-pub mod cuda_dclust;
 pub mod dbscan;
 mod eps_index;
-pub mod gdbscan;
 pub mod hybrid;
 pub mod kernels;
-pub mod optics;
 pub mod oracle;
 pub mod pipeline;
 pub mod reference;

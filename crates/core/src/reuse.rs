@@ -31,7 +31,7 @@ use std::time::Instant;
 
 /// Work-queue makespan: `t` lanes pull jobs in order; each job runs on
 /// the earliest-free lane. This models the paper's "up to 16 threads
-/// [that] consume T for executing DBSCAN".
+/// \[that\] consume T for executing DBSCAN".
 pub fn work_queue_makespan(durations: &[SimDuration], lanes: usize) -> SimDuration {
     let lanes = lanes.max(1);
     let mut free = vec![0.0f64; lanes];

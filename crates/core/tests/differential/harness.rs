@@ -4,25 +4,19 @@
 use crate::generators::Case;
 use gpu_sim::Device;
 use hybrid_dbscan_core::backend::IndexBackend;
-use hybrid_dbscan_core::cuda_dclust::cuda_dclust;
-use hybrid_dbscan_core::dbscan::{Clustering, Dbscan, GridSource, KdTreeSource, RTreeSource};
-use hybrid_dbscan_core::gdbscan::g_dbscan;
+use hybrid_dbscan_core::dbscan::{Clustering, Dbscan, GridSource, PackedTreeSource, RTreeSource};
 use hybrid_dbscan_core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
 use hybrid_dbscan_core::oracle;
 use hybrid_dbscan_core::reference::ReferenceDbscan;
 use spatial::distance::brute_force_neighbors;
-use spatial::{GridIndex, KdTree, Point2, RTree};
+use spatial::{GridIndex, PackedKdTree, Point2, PointN, PointStore, PointsViewN, RTree};
 
-/// Chain count for CUDA-DClust runs (enough concurrency to exercise the
-/// collision path on every non-trivial case).
-const MAX_CHAINS: usize = 64;
-
-/// Run every clusterer in the repository on one input. Ten labeled
-/// clusterings: the five implementations (Hybrid with both kernels, the
-/// R-tree reference, G-DBSCAN, CUDA-DClust), the Hybrid tree and auto
-/// ε-search backends, plus host DBSCAN over each of the three ε-indexes,
-/// so an implementation-vs-implementation divergence can be localized to
-/// an index or an algorithm.
+/// Run every clusterer in the repository on one input. Eight labeled
+/// clusterings: the three implementations (Hybrid with both kernels and
+/// the R-tree reference), the Hybrid tree and auto ε-search backends,
+/// plus host DBSCAN over each of the three ε-indexes, so an
+/// implementation-vs-implementation divergence can be localized to an
+/// index or an algorithm.
 pub fn run_all(case: &Case) -> Vec<(&'static str, Clustering)> {
     let Case {
         data, eps, minpts, ..
@@ -52,28 +46,18 @@ pub fn run_all(case: &Case) -> Vec<(&'static str, Clustering)> {
         "reference-rtree",
         ReferenceDbscan::new(eps, minpts).run(data).clustering,
     ));
-    out.push((
-        "g-dbscan",
-        g_dbscan(&device, data, eps, minpts)
-            .unwrap_or_else(|e| panic!("g-dbscan failed on {}: {e:?}", case.family))
-            .clustering,
-    ));
-    out.push((
-        "cuda-dclust",
-        cuda_dclust(&device, data, eps, minpts, MAX_CHAINS)
-            .unwrap_or_else(|e| panic!("cuda-dclust failed on {}: {e:?}", case.family))
-            .clustering,
-    ));
 
     let grid = GridIndex::build(data, eps);
     out.push((
         "dbscan-grid",
         Dbscan::new(minpts).run(&GridSource::new(&grid, data)),
     ));
-    let kd = KdTree::build(data);
+    let store = PointStore::from_points(data);
+    let points = PointsViewN::from(store.view());
+    let tree = PackedKdTree::build(points);
     out.push((
         "dbscan-kdtree",
-        Dbscan::new(minpts).run(&KdTreeSource::new(&kd, data, eps)),
+        Dbscan::new(minpts).run(&PackedTreeSource::new(&tree, points, eps)),
     ));
     let rt = RTree::bulk_load(data);
     out.push((
@@ -93,16 +77,16 @@ pub fn cross_check_neighborhoods(data: &[Point2], eps: f64) -> Result<(), String
         v.sort_unstable();
         v
     };
-    let kd = KdTree::build(data);
+    let store = PointStore::from_points(data);
+    let points = PointsViewN::from(store.view());
+    let tree = PackedKdTree::build(points);
     let rt = RTree::bulk_load(data);
     for (id, q) in data.iter().enumerate() {
         let expected = brute_force_neighbors(data, q, eps);
         if gs(q) != expected {
             return Err(format!("grid neighborhood of point {id} != brute force"));
         }
-        let mut k = kd.query_eps(q, eps);
-        k.sort_unstable();
-        if k != expected {
+        if tree.query_eps(points, &PointN::from(*q), eps) != expected {
             return Err(format!("kd-tree neighborhood of point {id} != brute force"));
         }
         let mut r = rt.query_eps(q, eps);

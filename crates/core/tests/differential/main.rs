@@ -2,10 +2,10 @@
 //!
 //! Every clusterer in this repository claims to compute *exact* DBSCAN:
 //! the paper's thesis is that the GPU changes throughput, never output.
-//! This test target holds all five implementations (Hybrid global,
-//! Hybrid shared, the R-tree reference, G-DBSCAN, CUDA-DClust), the
-//! Hybrid tree/auto ε-search backends, and all three ε-indexes (grid,
-//! kd-tree, R-tree) to that claim:
+//! This test target holds all three implementations (Hybrid global,
+//! Hybrid shared, the R-tree reference), the Hybrid tree/auto ε-search
+//! backends, and all three ε-indexes (grid, packed kd-tree, R-tree) to
+//! that claim:
 //!
 //! * [`harness`] runs every clusterer on the same input and validates
 //!   each against the brute-force oracle (`hybrid_dbscan_core::oracle`),
@@ -23,9 +23,8 @@
 //! * [`sweep`] is the seeded randomized tier: a handful of cases by
 //!   default, `DIFF_CASES=n` for the long CI sweep.
 //! * [`threads`] re-runs the clusterers on rayon pool views of 1, 2 and
-//!   8 threads and asserts schedule independence (exact labels where the
-//!   implementation guarantees it, oracle-level equivalence for
-//!   CUDA-DClust's scheduling-dependent border attribution).
+//!   8 threads and asserts schedule independence: bitwise-identical
+//!   labels from every clusterer.
 //! * [`engine`] holds the DBSCAN engine to the literal Algorithm 1
 //!   transcription label for label over table, grid and R-tree sources,
 //!   and the table path to the R-tree reference's exact labels.
@@ -54,7 +53,7 @@ use proptest::TestRng;
 use spatial::Point2;
 
 /// Quick deterministic tier: every generator family under a few fixed
-/// seeds, full five-clusterer differential each time.
+/// seeds, full differential over every clusterer each time.
 #[test]
 fn quick_all_families_fixed_seeds() {
     for family in generators::FAMILIES {
@@ -132,9 +131,10 @@ fn exact_eps_boundary_pythagorean() {
     ];
     let eps = 5.0;
     harness::cross_check_neighborhoods(&data, eps).unwrap();
-    let kd = spatial::KdTree::build(&data);
-    let mut n0 = kd.query_eps(&data[0], eps);
-    n0.sort_unstable();
+    let store = spatial::PointStore::from_points(&data);
+    let points = spatial::PointsViewN::from(store.view());
+    let tree = spatial::PackedKdTree::build(points);
+    let n0 = tree.query_eps(points, &data[0].into(), eps);
     assert_eq!(n0, vec![0, 1, 3], "3-4-5 neighbors at exactly eps");
 
     // minpts = 3: point 0 sees {0, 1, 3}, point 1 sees {0, 1, 2} — both

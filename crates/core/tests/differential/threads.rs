@@ -1,13 +1,8 @@
 //! Schedule independence of the differential surface.
 //!
 //! The repository's determinism policy (DESIGN.md §7): Hybrid-DBSCAN,
-//! the reference, G-DBSCAN, and the host DBSCAN runs produce *bitwise
-//! identical* labels on any pool size. CUDA-DClust is the documented
-//! exception — chain ownership is claimed by CAS from concurrently
-//! simulated blocks, so *which* cluster wins a contested border point
-//! depends on the schedule — but its noise set and core partition must
-//! still be schedule-independent, which is exactly what the oracle's
-//! equivalence-up-to-borders checks.
+//! the reference, and the host DBSCAN runs produce *bitwise identical*
+//! labels on any pool size.
 //!
 //! Pool views are created with `ThreadPoolBuilder::num_threads(t)`, so
 //! the 8-thread case is exercised even under `RAYON_NUM_THREADS=1`.
@@ -15,7 +10,6 @@
 use crate::generators::{Case, FAMILIES};
 use crate::harness::{labels_i64, run_all};
 use hybrid_dbscan_core::dbscan::Clustering;
-use hybrid_dbscan_core::oracle;
 use proptest::TestRng;
 
 fn run_all_at(threads: usize, case: &Case) -> Vec<(&'static str, Clustering)> {
@@ -33,38 +27,18 @@ fn schedule_independence_at_1_2_and_8_threads() {
     for (fi, family) in FAMILIES.iter().enumerate() {
         let mut rng = TestRng::new(0x7EAD ^ (fi as u64) << 8);
         let case = (family.generate)(&mut rng);
-        let classes = oracle::classify(&case.data, case.eps, case.minpts);
 
         let base = run_all_at(1, &case);
         for threads in [2usize, 8] {
             let other = run_all_at(threads, &case);
             for ((name, a), (name2, b)) in base.iter().zip(&other) {
                 assert_eq!(name, name2);
-                if *name == "cuda-dclust" {
-                    // Scheduling-dependent border attribution: hold it
-                    // to oracle-level equivalence instead.
-                    oracle::check_clustering_with(&case.data, case.eps, &classes, b)
-                        .unwrap_or_else(|e| {
-                            panic!(
-                                "family `{}`: cuda-dclust invalid at {threads} threads: {e}",
-                                family.name
-                            )
-                        });
-                    oracle::equivalent_up_to_borders_with(&classes, a, b).unwrap_or_else(|e| {
-                        panic!(
-                            "family `{}`: cuda-dclust partition changed at {threads} \
-                             threads: {e}",
-                            family.name
-                        )
-                    });
-                } else {
-                    assert_eq!(
-                        labels_i64(a),
-                        labels_i64(b),
-                        "family `{}`: {name} labels changed at {threads} threads",
-                        family.name
-                    );
-                }
+                assert_eq!(
+                    labels_i64(a),
+                    labels_i64(b),
+                    "family `{}`: {name} labels changed at {threads} threads",
+                    family.name
+                );
             }
         }
     }

@@ -64,10 +64,6 @@ impl<T: Copy + Default> PinnedBuffer<T> {
     pub fn as_slice(&self) -> &[T] {
         &self.data
     }
-
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
-    }
 }
 
 #[cfg(test)]

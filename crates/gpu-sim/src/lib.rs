@@ -45,5 +45,5 @@ pub use device::{Device, DeviceProps};
 pub use error::DeviceError;
 pub use kernel::{BlockCtx, BlockKernel, ChargeBatch, KernelReport, ThreadCtx};
 pub use launch::LaunchConfig;
-pub use memory::{DeviceAppendBuffer, DeviceBuffer, DeviceCounter, RawAlloc};
+pub use memory::{DeviceAppendBuffer, DeviceBuffer, DeviceCounter};
 pub use time::{SimDuration, SimTime};

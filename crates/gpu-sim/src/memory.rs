@@ -48,27 +48,9 @@ impl<T: Copy> DeviceBuffer<T> {
         ))
     }
 
-    /// Allocate zero-initialized device memory without an upload.
-    pub fn zeroed(device: &Device, len: usize) -> Result<Self, DeviceError>
-    where
-        T: Default,
-    {
-        let bytes = len * std::mem::size_of::<T>();
-        device.alloc_bytes(bytes)?;
-        Ok(DeviceBuffer {
-            device: device.clone(),
-            data: vec![T::default(); len],
-        })
-    }
-
     /// Device-side view of the data (what a kernel dereferences).
     pub fn as_slice(&self) -> &[T] {
         &self.data
-    }
-
-    /// Mutable device-side view (used by device-side sorts).
-    pub fn as_mut_slice(&mut self) -> &mut [T] {
-        &mut self.data
     }
 
     /// Download to the host (D2H), returning the data and the modeled
@@ -77,14 +59,6 @@ impl<T: Copy> DeviceBuffer<T> {
         let bytes = std::mem::size_of_val(self.data.as_slice());
         let t = self.device.transfer_model().transfer_time(bytes, pinned);
         (self.data.clone(), t)
-    }
-
-    /// Download a prefix of `n` elements (a partially-filled result buffer).
-    pub fn prefix_to_host(&self, n: usize, pinned: bool) -> (Vec<T>, SimDuration) {
-        let n = n.min(self.data.len());
-        let bytes = n * std::mem::size_of::<T>();
-        let t = self.device.transfer_model().transfer_time(bytes, pinned);
-        (self.data[..n].to_vec(), t)
     }
 
     pub fn len(&self) -> usize {
@@ -110,7 +84,7 @@ impl<T: Copy> Drop for DeviceBuffer<T> {
 
 /// A fixed-capacity device output array with an atomic write cursor.
 ///
-/// Concurrent blocks append through [`AppendHandle`]; each append claims a
+/// Concurrent blocks append through [`AppendStage`]; each append claims a
 /// distinct slot with `fetch_add`, so writes are disjoint and lock-free.
 /// Appends past capacity are *rejected* and counted (a real kernel would
 /// corrupt memory; the simulator surfaces the overflow instead). The
@@ -325,36 +299,6 @@ impl<T: Copy + Send + Default> Drop for AppendStage<'_, T> {
     }
 }
 
-/// An untyped device global-memory reservation with RAII release — for
-/// device-resident structures whose host-side representation does not fit
-/// [`DeviceBuffer`]'s `Copy` layout (e.g. atomic adjacency arrays). The
-/// reservation draws down capacity exactly like a typed buffer.
-pub struct RawAlloc {
-    device: Device,
-    bytes: usize,
-}
-
-impl RawAlloc {
-    /// Reserve `bytes` of device global memory.
-    pub fn new(device: &Device, bytes: usize) -> Result<Self, DeviceError> {
-        device.alloc_bytes(bytes)?;
-        Ok(RawAlloc {
-            device: device.clone(),
-            bytes,
-        })
-    }
-
-    pub fn bytes(&self) -> usize {
-        self.bytes
-    }
-}
-
-impl Drop for RawAlloc {
-    fn drop(&mut self) {
-        self.device.free_bytes(self.bytes);
-    }
-}
-
 /// A device-resident atomic counter (e.g. the neighbor-count estimator).
 pub struct DeviceCounter {
     device: Device,
@@ -522,25 +466,5 @@ mod tests {
         assert_eq!(c.get(), 8000);
         c.reset();
         assert_eq!(c.get(), 0);
-    }
-
-    #[test]
-    fn raw_alloc_accounts_and_releases() {
-        let d = Device::tiny(100);
-        let a = RawAlloc::new(&d, 60).unwrap();
-        assert_eq!(a.bytes(), 60);
-        assert_eq!(d.used_bytes(), 60);
-        assert!(RawAlloc::new(&d, 50).is_err());
-        drop(a);
-        assert_eq!(d.used_bytes(), 0);
-    }
-
-    #[test]
-    fn zeroed_allocates() {
-        let d = Device::tiny(64);
-        let b = DeviceBuffer::<u64>::zeroed(&d, 8).unwrap();
-        assert_eq!(b.as_slice(), &[0u64; 8]);
-        assert_eq!(d.used_bytes(), 64);
-        assert!(DeviceBuffer::<u64>::zeroed(&d, 1).is_err());
     }
 }

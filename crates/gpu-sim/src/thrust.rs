@@ -415,34 +415,6 @@ fn counting_sort_by_key(pairs: &mut [(u32, u32)], n_keys: usize) {
     }
 }
 
-/// Device-side reduction (sum) of a `u64` array, with a modeled duration.
-/// Like [`sort_by_key`], the functional work runs on the host pool
-/// without holding the `compute_lock` — engine serialization is a
-/// property of the modeled timeline, not of host execution.
-pub fn reduce_sum(device: &Device, values: &[u64]) -> (u64, SimDuration) {
-    let sum = values.par_iter().sum();
-    // Reduction is bandwidth-bound: one read pass.
-    let bytes = std::mem::size_of_val(values) as f64;
-    let t = SimDuration::from_micros(10.0)
-        + SimDuration::from_secs(bytes / (device.props().mem_bandwidth_gbps * 1e9));
-    (sum, t)
-}
-
-/// Device-side exclusive prefix scan, with a modeled duration.
-pub fn exclusive_scan(device: &Device, values: &[u32]) -> (Vec<u32>, SimDuration) {
-    let mut out = Vec::with_capacity(values.len());
-    let mut acc = 0u32;
-    for &v in values {
-        out.push(acc);
-        acc += v;
-    }
-    // Scan reads and writes each element once.
-    let bytes = 2.0 * std::mem::size_of_val(values) as f64;
-    let t = SimDuration::from_micros(10.0)
-        + SimDuration::from_secs(bytes / (device.props().mem_bandwidth_gbps * 1e9));
-    (out, t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -517,24 +489,6 @@ mod tests {
         // ~500M pairs/s: 500M pairs should take about a second.
         let t = sort_by_key_time(500_000_000);
         assert!((t.as_secs() - 1.0).abs() < 0.01);
-    }
-
-    #[test]
-    fn reduce_sum_correct() {
-        let d = Device::k20c();
-        let values: Vec<u64> = (1..=1000).collect();
-        let (sum, t) = reduce_sum(&d, &values);
-        assert_eq!(sum, 500_500);
-        assert!(t > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn exclusive_scan_correct() {
-        let d = Device::k20c();
-        let (scan, _) = exclusive_scan(&d, &[3, 1, 4, 1, 5]);
-        assert_eq!(scan, vec![0, 3, 4, 8, 9]);
-        let (empty, _) = exclusive_scan(&d, &[]);
-        assert!(empty.is_empty());
     }
 
     #[test]

@@ -10,8 +10,7 @@
 //!   D2H / Host engine lanes and the host call tree on named tracks;
 //! * a **metrics JSON** document ([`metrics`]) — counters, gauges, and
 //!   log-scale histograms (kernel occupancy, memory throughput, batch
-//!   estimation accuracy);
-//! * a **plain-text run summary** ([`report`]).
+//!   estimation accuracy).
 //!
 //! Everything is emitted by hand-written JSON ([`json`]) — the build
 //! environment has no crates.io access, so no serde_json (see DESIGN.md,
@@ -28,7 +27,6 @@ pub mod json;
 pub mod ledger;
 pub mod metrics;
 pub mod provenance;
-pub mod report;
 pub mod span;
 pub mod stats;
 pub mod trend;
@@ -315,11 +313,6 @@ impl Recorder {
     /// Export the metrics registry as JSON.
     pub fn metrics_json(&self) -> String {
         self.metrics.snapshot().to_json()
-    }
-
-    /// Render the plain-text run summary.
-    pub fn text_report(&self) -> String {
-        report::render(self)
     }
 
     pub(crate) fn alloc_span_id(&self) -> u64 {

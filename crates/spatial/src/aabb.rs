@@ -1,4 +1,4 @@
-//! Axis-aligned bounding boxes, used by the R-tree and kd-tree.
+//! Axis-aligned bounding boxes, used by the R-tree and the grid.
 
 use crate::point::Point2;
 use serde::{Deserialize, Serialize};

@@ -7,18 +7,6 @@
 
 use crate::point::Point2;
 
-/// Euclidean distance between two points.
-#[inline]
-pub fn euclidean(p: &Point2, q: &Point2) -> f64 {
-    p.distance(q)
-}
-
-/// Squared Euclidean distance between two points.
-#[inline]
-pub fn euclidean_sq(p: &Point2, q: &Point2) -> f64 {
-    p.distance_sq(q)
-}
-
 /// Brute-force ε-neighborhood: ids of every point of `data` within the
 /// closed ε-ball around `q` (including `q` itself if present), in ascending
 /// id order. `O(|D|)` per query — test oracle only.

@@ -8,7 +8,6 @@
 //! * [`rtree`] — a classical R-tree (Guttman quadratic split plus STR bulk
 //!   loading) used by the *reference implementation* the paper compares
 //!   against (sequential DBSCAN, Table I / Figure 3).
-//! * [`kdtree`] — an additional comparator used by the ablation benches.
 //! * [`presort`] — the unit-width x/y binning pre-sort applied to the point
 //!   database before grid construction to improve access locality.
 //! * [`shard`] — x-quantile slab partitioning with ε-halos, the spatial
@@ -18,7 +17,8 @@
 //! * [`gridn`] — the sparse ε-grid generalized to `D` dimensions
 //!   (`3^D` stencil, `u64` mixed-radix cell keys).
 //! * [`packed_tree`] — the device-resident packed kd-tree (implicit
-//!   level-order heap, SoA node pool) behind the tree ε-search backend.
+//!   level-order heap, SoA node pool) behind the tree ε-search backend;
+//!   its host-side ε-query also serves as the kd-tree neighbor source.
 //!
 //! The original pipeline operates on 2-D points ([`Point2`]), the paper's
 //! setting; the [`nd`]/[`gridn`]/[`packed_tree`] layer extends the same
@@ -28,7 +28,6 @@ pub mod aabb;
 pub mod distance;
 pub mod grid;
 pub mod gridn;
-pub mod kdtree;
 pub mod nd;
 pub mod packed_tree;
 pub mod point;
@@ -40,7 +39,6 @@ pub mod soa;
 pub use aabb::Aabb;
 pub use grid::{CellRange, CellsView, GridGeometry, GridIndex, GridLayout, GridStats};
 pub use gridn::{CellsViewN, GridGeometryN, GridIndexN};
-pub use kdtree::KdTree;
 pub use nd::{AabbN, PointN, PointStoreN, PointsViewN};
 pub use packed_tree::{PackedKdTree, TreeStats, TreeView};
 pub use point::Point2;

@@ -1,9 +1,9 @@
 //! A device-resident packed kd-tree: the tree-based ε-search backend.
 //!
-//! [`crate::kdtree::KdTree`] is a host-only pointer tree; GPU traversal
-//! needs a flat, SoA layout. [`PackedKdTree`] stores the tree as an
-//! *implicit level-order heap* (node `k` has children `2k+1`, `2k+2` —
-//! no child pointers at all) over three parallel arrays:
+//! GPU traversal needs a flat, SoA layout rather than a pointer tree.
+//! [`PackedKdTree`] stores the tree as an *implicit level-order heap*
+//! (node `k` has children `2k+1`, `2k+2` — no child pointers at all)
+//! over three parallel arrays:
 //!
 //! * `splits[k]` — the splitting coordinate of internal node `k`;
 //! * `axes[k]` — its splitting dimension, or [`LEAF_AXIS`] for a leaf;
@@ -20,8 +20,7 @@
 //! Median split (`select_nth_unstable_by`) on the cycling axis
 //! `depth mod D`, comparing `(coordinate, id)` — a total order, so the
 //! partition (and therefore the whole tree) is deterministic and
-//! identical at every thread count. Split semantics match
-//! [`crate::kdtree::KdTree`]: the left subtree holds coordinates
+//! identical at every thread count. The left subtree holds coordinates
 //! `<= splits[k]`, the right holds `>= splits[k]`, and an ε-query
 //! descends left when `q[a] - eps <= split` and right when
 //! `q[a] + eps >= split` (closed ball on both sides).

@@ -411,13 +411,6 @@ impl RTree {
         self.distance_calcs.fetch_add(dists, Ordering::Relaxed);
     }
 
-    /// Count of points within the closed ε-ball around `q`.
-    pub fn query_eps_count(&self, q: &Point2, eps: f64) -> usize {
-        let mut n = 0;
-        self.query_eps_visit(q, eps, |_, _| n += 1);
-        n
-    }
-
     /// Validate structural invariants (tests/debugging): bounding boxes
     /// tight, fill bounds respected below the root, uniform leaf depth.
     pub fn check_invariants(&self) {

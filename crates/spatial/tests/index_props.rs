@@ -4,7 +4,7 @@
 use proptest::prelude::*;
 use spatial::distance::{brute_force_count, brute_force_neighbors};
 use spatial::presort::spatial_sort;
-use spatial::{GridIndex, KdTree, Point2, RTree};
+use spatial::{GridIndex, PackedKdTree, Point2, PointN, PointStore, PointsViewN, RTree};
 
 fn points_strategy() -> impl Strategy<Value = Vec<Point2>> {
     prop::collection::vec((-500i32..1500, -500i32..1500), 1..150).prop_map(|v| {
@@ -106,10 +106,11 @@ proptest! {
     #[test]
     fn kdtree_matches_oracle(data in points_strategy(), e in 1u32..40) {
         let eps = e as f64 / 10.0;
-        let tree = KdTree::build(&data);
+        let store = PointStore::from_points(&data);
+        let points = PointsViewN::from(store.view());
+        let tree = PackedKdTree::build(points);
         for q in data.iter().step_by(3) {
-            let mut got = tree.query_eps(q, eps);
-            got.sort_unstable();
+            let got = tree.query_eps(points, &PointN::from(*q), eps);
             prop_assert_eq!(got, brute_force_neighbors(&data, q, eps));
         }
     }

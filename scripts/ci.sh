@@ -1,14 +1,15 @@
 #!/usr/bin/env bash
 # Local CI gate: everything a PR must pass.
 #
-#   scripts/ci.sh            # build + test + fmt + clippy
+#   scripts/ci.sh            # build + test + fmt + clippy + doc
 #   DIFF_STRICT=1 scripts/ci.sh     # make the long differential sweep fatal
 #   BENCH_STRICT=1 scripts/ci.sh    # make benchmark regressions fatal
 #   TREND_STRICT=1 scripts/ci.sh    # make cross-run trend regressions fatal
 #
 # The 200-case differential sweep is advisory by default — it is the long
 # randomized tier of a harness whose quick tier already gates fatally;
-# build, tests, formatting and clippy (`-D warnings`) are always fatal.
+# build, tests, formatting, clippy and rustdoc (both `-D warnings`) are
+# always fatal.
 
 set -uo pipefail
 cd "$(dirname "$0")/.."
@@ -33,9 +34,10 @@ step "build" cargo build --workspace --release
 # identical results either way; both configurations must stay green.
 step "test (RAYON_NUM_THREADS=1)" env RAYON_NUM_THREADS=1 cargo test --workspace -q
 step "test (RAYON_NUM_THREADS=4)" env RAYON_NUM_THREADS=4 cargo test --workspace -q
-# Quick differential tier (crates/core/tests/differential): all five
-# clusterers and all three indexes against the brute-force oracle, at
-# both pool sizes. Part of the workspace suite above, repeated here
+# Quick differential tier (crates/core/tests/differential): all eight
+# clusterings (Hybrid with both kernels and the tree/auto backends, the
+# R-tree reference, host DBSCAN over each of the three indexes) and all
+# three indexes against the brute-force oracle, at both pool sizes. Part of the workspace suite above, repeated here
 # explicitly so a differential regression is named in the CI output.
 # The repo benchmark (perfbench/) is a Cargo workspace of its own, so the
 # workspace steps above never compile it. Its self-tests build it against
@@ -133,6 +135,9 @@ step "differential quick (sharded, DIFF_STRICT=1)" \
 
 step "fmt" cargo fmt --all --check
 step "clippy" cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc with warnings fatal: a broken, stale or ambiguous intra-doc
+# link fails CI instead of rendering as plain text.
+step "doc" env RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 echo "==> differential sweep: DIFF_CASES=200 cargo test --test differential seeded_sweep"
 if env DIFF_CASES=200 cargo test -p hybrid-dbscan-core --test differential seeded_sweep -q; then

@@ -17,7 +17,8 @@
 //!
 //! * [`gpu_sim`] — the simulated CUDA-like device (kernels, streams,
 //!   transfers, device memory, Thrust-style sort).
-//! * [`spatial`] — grid index `(G, A)`, R-tree, kd-tree, spatial pre-sort.
+//! * [`spatial`] — grid index `(G, A)`, R-tree, packed kd-tree, spatial
+//!   pre-sort.
 //! * [`datasets`] — synthetic SW-class / SDSS-class dataset generators.
 //! * [`core`] — the Hybrid-DBSCAN algorithms themselves.
 //!

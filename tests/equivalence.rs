@@ -4,7 +4,7 @@
 //! same `(ε, minpts)`.
 
 use hybrid_dbscan::core::batch::BatchConfig;
-use hybrid_dbscan::core::dbscan::{dbscan_algorithm1, Dbscan, GridSource, KdTreeSource};
+use hybrid_dbscan::core::dbscan::{dbscan_algorithm1, Dbscan, GridSource, PackedTreeSource};
 use hybrid_dbscan::core::hybrid::{HybridConfig, HybridDbscan, KernelChoice};
 use hybrid_dbscan::core::pipeline::{MultiClusterPipeline, PipelineConfig};
 use hybrid_dbscan::core::reference::ReferenceDbscan;
@@ -12,7 +12,7 @@ use hybrid_dbscan::core::reuse::TableReuse;
 use hybrid_dbscan::core::scenario::Variant;
 use hybrid_dbscan::datasets::spec;
 use hybrid_dbscan::gpu_sim::Device;
-use hybrid_dbscan::spatial::{GridIndex, KdTree, Point2};
+use hybrid_dbscan::spatial::{GridIndex, PackedKdTree, Point2, PointStore, PointsViewN};
 
 fn small(name: &str) -> Vec<Point2> {
     spec::by_name(name).unwrap().generate(0.001).points
@@ -123,9 +123,11 @@ fn literal_algorithm1_agrees_on_every_index() {
     let data = small("SW1");
     let eps = 0.5;
     let grid = GridIndex::build(&data, eps);
-    let kdtree = KdTree::build(&data);
+    let store = PointStore::from_points(&data);
+    let points = PointsViewN::from(store.view());
+    let tree = PackedKdTree::build(points);
     let gs = GridSource::new(&grid, &data);
-    let ks = KdTreeSource::new(&kdtree, &data, eps);
+    let ks = PackedTreeSource::new(&tree, points, eps);
     let a = dbscan_algorithm1(&gs, 4).to_clustering();
     let b = dbscan_algorithm1(&ks, 4).to_clustering();
     let c = Dbscan::new(4).run(&gs);
@@ -153,18 +155,6 @@ fn persisted_table_clusters_identically() {
         Dbscan::new(4).run_with_order(&TableSource::new(&handle.table), Some(&handle.visit_order));
     let b = Dbscan::new(4).run_with_order(&TableSource::new(&reloaded), Some(&handle.visit_order));
     assert_eq!(a.labels(), b.labels());
-}
-
-#[test]
-fn gdbscan_comparator_agrees_with_reference_structure() {
-    use hybrid_dbscan::core::gdbscan::g_dbscan;
-    let device = Device::k20c();
-    let data = small("SDSS1");
-    let (eps, minpts) = (0.4, 4);
-    let g = g_dbscan(&device, &data, eps, minpts).unwrap();
-    let r = ReferenceDbscan::new(eps, minpts).run(&data);
-    assert_eq!(g.clustering.num_clusters(), r.clustering.num_clusters());
-    assert_eq!(g.clustering.noise_count(), r.clustering.noise_count());
 }
 
 #[test]

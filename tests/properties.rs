@@ -8,7 +8,9 @@ use hybrid_dbscan::core::reference::ReferenceDbscan;
 use hybrid_dbscan::gpu_sim::Device;
 use hybrid_dbscan::spatial::distance::brute_force_neighbors;
 use hybrid_dbscan::spatial::presort::spatial_sort_permutation;
-use hybrid_dbscan::spatial::{GridIndex, KdTree, Point2, RTree};
+use hybrid_dbscan::spatial::{
+    GridIndex, PackedKdTree, Point2, PointN, PointStore, PointsViewN, RTree,
+};
 use proptest::prelude::*;
 
 /// Random points in a bounded box; coordinates quantized a little so exact
@@ -33,7 +35,9 @@ proptest! {
     fn indexes_match_brute_force(data in points_strategy(120), eps in eps_strategy()) {
         let grid = GridIndex::build(&data, eps);
         let rtree = RTree::bulk_load(&data);
-        let kdtree = KdTree::build(&data);
+        let store = PointStore::from_points(&data);
+        let points = PointsViewN::from(store.view());
+        let tree = PackedKdTree::build(points);
         for (id, q) in data.iter().enumerate() {
             let expected = brute_force_neighbors(&data, q, eps);
             let mut g = grid.query(&data, q);
@@ -42,9 +46,8 @@ proptest! {
             let mut r = rtree.query_eps(q, eps);
             r.sort_unstable();
             prop_assert_eq!(&r, &expected, "rtree disagrees at {}", id);
-            let mut k = kdtree.query_eps(q, eps);
-            k.sort_unstable();
-            prop_assert_eq!(&k, &expected, "kdtree disagrees at {}", id);
+            let k = tree.query_eps(points, &PointN::from(*q), eps);
+            prop_assert_eq!(&k, &expected, "packed kd-tree disagrees at {}", id);
         }
     }
 
